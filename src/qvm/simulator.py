@@ -208,8 +208,10 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
 
     The full amplitudes are grouped by the bit pattern of the unselected
     qubits; every group with non-negligible norm must be parallel to the
-    dominant one (relative residual <= 1e-9), otherwise the selection has no
-    pure state of its own and EntangledSelection is raised.  The common
+    reference group (relative residual <= 1e-9), otherwise the selection has
+    no pure state of its own and EntangledSelection is raised.  The reference
+    is the first group whose norm is within a factor 1 - 1e-9 of the largest,
+    so rounding in the norms cannot move the dump's global phase.  The common
     vector is normalized and sign-flipped so its first nonzero amplitude has
     phase in (-π/2, π/2].
     """
@@ -226,7 +228,7 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     tensor = state.amps.reshape((2,) * n)
     groups = tensor.transpose(rest + list(qubits)).reshape(-1, 1 << len(qubits))
     norms = np.linalg.norm(groups, axis=1)
-    dominant = int(np.argmax(norms))
+    dominant = int(np.argmax(norms >= norms.max() * (1 - 1e-9)))
     reference = groups[dominant] / norms[dominant]
     for row, norm in zip(groups, norms):
         if norm <= 1e-9:

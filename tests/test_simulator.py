@@ -228,6 +228,17 @@ class TestExtractDump:
         data = extract_dump(state, (1, 0))
         assert data.basis_states == ((0b10, (1 + 0j)),)
 
+    def test_one_ulp_in_a_group_norm_keeps_the_global_phase(self):
+        # qubit 0 is (|0⟩ + i|1⟩)/√2, so the two groups of a qubit-1 dump
+        # tie in norm and differ in phase by i
+        plus = np.array([SQRT1_2, SQRT1_2])
+        tied = np.kron(np.array([SQRT1_2, 1j * SQRT1_2]), plus)
+        nudged = tied.copy()
+        nudged[2:] *= 1 + 2.0**-52
+        want = extract_dump(StateVector(2, tied), (1,))
+        got = extract_dump(StateVector(2, nudged), (1,))
+        assert got == want
+
 
 class TestExecute:
     def test_alloc_only_program(self):
