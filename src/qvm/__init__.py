@@ -3,7 +3,9 @@
 Programs are recorded into an instruction stream through a :class:`Process`
 and executed only when a measurement future or dump snapshot is first read.
 The bundled engine simulates up to roughly twenty qubits and is fully
-deterministic for a given seed.
+deterministic for a given seed.  Validation rejects a program that allocates
+more than ``ir.MAX_QUBITS`` (24) qubits with MalformedCode, before any state
+is allocated: a 24-qubit state alone takes 256 MiB.
 """
 
 from . import errors

@@ -57,6 +57,10 @@ class GateKind(str, Enum):
 
 PARAMETRIC_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.PHASE})
 
+# Most qubits a program may allocate: the engine's state then takes
+# 16·2^24 B = 256 MiB, and a dense gate up to twice that again in temporaries.
+MAX_QUBITS = 24
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -172,6 +176,10 @@ def _validate_block(instructions, state: _ValidationState, in_branch: bool) -> N
             if not isinstance(ins.count, int) or ins.count < 1:
                 raise MalformedCode(f"allocation count must be >= 1, got {ins.count!r}")
             state.allocated += ins.count
+            if state.allocated > MAX_QUBITS:
+                raise MalformedCode(
+                    f"program allocates {state.allocated} qubits, more than the limit of {MAX_QUBITS}"
+                )
         elif isinstance(ins, GateApp):
             if not isinstance(ins.gate, Gate):
                 raise MalformedCode("gate application without a gate")

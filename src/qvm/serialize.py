@@ -104,7 +104,10 @@ def _decode_instruction(obj: Any) -> Instruction:
             raise MalformedCode(f"unknown gate kind {kind_name!r}") from None
         angle = None
         if kind in PARAMETRIC_KINDS:
-            angle = float(_need(obj, "angle", (int, float)))
+            try:
+                angle = float(_need(obj, "angle", (int, float)))
+            except OverflowError:
+                raise MalformedCode(f"angle of gate {kind_name!r} is too large") from None
         elif "angle" in obj:
             raise MalformedCode(f"gate {kind_name!r} takes no angle")
         try:

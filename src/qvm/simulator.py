@@ -2,8 +2,33 @@
 
 Qubit ``i`` occupies bit ``n - 1 - i`` of the amplitude index, so qubit 0 is
 the leftmost symbol in |...⟩ labels and the most significant bit of
-measurement outcomes.  Gates are applied in place by pairing amplitude
-indices that differ in the target bit and whose control bits are all set.
+measurement outcomes.  The kernels read the same amplitudes as a ``(2,)*n``
+array whose axis ``i`` is qubit ``i``.  That array is a reshape of the flat
+vector, so it is a view, and slicing an axis to ``0:1`` or ``1:2`` selects
+the half of the state in which that qubit reads 0 or 1, again as a view:
+
+- A gate takes two views, with every control axis at ``1:2`` and the target
+  axis at ``0:1`` and ``1:2``, and updates them in place.  A diagonal matrix
+  (Z, RZ, phase and their controlled forms, most of a QFT) only scales the
+  views whose factor is not exactly 1.  A dense one copies the two views into
+  contiguous arrays first: on a strided view of many axes each ufunc call
+  costs about twice as much.
+- A measurement sums ``|amplitude|²`` over the unmeasured axes, samples an
+  outcome, and keeps only that outcome's slice.
+- A dump checks every group of amplitudes (one per pattern of the unselected
+  qubits) against one reference group in a single rank-1 residual.
+
+Temporary memory per call, for a state of S = 16·2^n bytes: a diagonal gate
+allocates nothing, a dense gate at most 2·S (the copies of both views and two
+products), a measurement at most S (the squared magnitudes, then the kept
+slice), and a dump at most 2.5·S (a copy of the groups where their layout is
+not a view of the state, their magnitudes, then one residual buffer).
+
+The interpreter ``_run_block`` is a module function, not a closure inside
+``execute``: a nested function that calls itself holds a reference to its own
+cell, and that cycle would keep the run's state vector alive after
+``execute`` returns, until the cyclic garbage collector happens to run.  It
+finds the kernels and ``gate_matrix`` as module globals at call time.
 
 Execution is a pure function of ``(code, seed)``: one xoshiro256** stream per
 run, advanced by exactly one draw per measurement, with the outcome chosen
@@ -21,6 +46,7 @@ import numpy as np
 
 from .errors import (
     DegenerateState,
+    EngineFailure,
     EntangledSelection,
     IndexOutOfRange,
     IndexOverlap,
@@ -30,6 +56,10 @@ from .rng import Xoshiro256StarStar
 
 # Amplitudes below this magnitude are treated as zero when snapshotting.
 DUST = 1e-12
+
+# The slice of a qubit's axis on which it reads 0 or 1; a slice, not an
+# integer, so indexing every axis still yields a view.
+_READS = (slice(0, 1), slice(1, 2))
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -69,7 +99,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
 @dataclass
 class StateVector:
-    """2**n complex amplitudes; the engine's ground truth."""
+    """2**n complex amplitudes in a flat vector; the engine's ground truth."""
 
     n: int
     amps: np.ndarray
@@ -86,10 +116,14 @@ class StateVector:
         amps[k] = 1.0
         return cls(n, amps)
 
+    def tensor(self) -> np.ndarray:
+        """The amplitudes as a ``(2,)*n`` view whose axis ``i`` is qubit ``i``."""
+        return self.amps.reshape((2,) * self.n)
+
     def extend(self, count: int) -> None:
         """Append ``count`` fresh qubits in |0⟩ (existing indices keep their qubits)."""
         amps = np.zeros(len(self.amps) << count, dtype=complex)
-        amps[np.arange(len(self.amps)) << count] = self.amps
+        amps.reshape(len(self.amps), 1 << count)[:, 0] = self.amps
         self.n += count
         self.amps = amps
 
@@ -118,13 +152,13 @@ class ExecutionResult:
     dumps: dict[int, DumpData]
 
 
-def _check_targets(n: int, target: int, controls: Sequence[int]) -> None:
-    indices = (target, *controls)
-    for q in indices:
+def _check_qubits(n: int, qubits: tuple[int, ...], overlap: str) -> None:
+    """Raise unless every qubit exists in an ``n``-qubit state and none repeats."""
+    for q in qubits:
         if not 0 <= q < n:
             raise IndexOutOfRange(f"qubit {q} out of range for {n}-qubit state")
-    if len(set(indices)) != len(indices):
-        raise IndexOverlap(f"target {target} and controls {tuple(controls)} overlap")
+    if len(set(qubits)) != len(qubits):
+        raise IndexOverlap(overlap)
 
 
 def apply_kernel(
@@ -140,32 +174,26 @@ def apply_kernel(
     """
     controls = tuple(controls)
     n = state.n
-    _check_targets(n, target, controls)
-    tbit = 1 << (n - 1 - target)
-    cmask = 0
+    _check_qubits(n, (target, *controls), f"target {target} and controls {controls} overlap")
+    index = [slice(None)] * n
     for c in controls:
-        cmask |= 1 << (n - 1 - c)
-    indices = np.arange(1 << n, dtype=np.intp)
-    base = indices[(indices & tbit) == 0]
-    if cmask:
-        base = base[(base & cmask) == cmask]
-    pair = base | tbit
-    amps = state.amps
-    a0 = amps[base]
-    a1 = amps[pair]
-    amps[base] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    amps[pair] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+        index[c] = _READS[1]
+    tensor = state.tensor()
+    index[target] = _READS[0]
+    v0 = tensor[tuple(index)]
+    index[target] = _READS[1]
+    v1 = tensor[tuple(index)]
+    (m00, m01), (m10, m11) = matrix.tolist()
+    if m01 == 0 and m10 == 0:
+        if m00 != 1:
+            v0 *= m00
+        if m11 != 1:
+            v1 *= m11
+    else:
+        a0, a1 = v0.copy(), v1.copy()
+        v0[...] = m00 * a0 + m01 * a1
+        v1[...] = m10 * a0 + m11 * a1
     return state
-
-
-def _outcome_indices(n: int, qubits: Sequence[int]) -> np.ndarray:
-    """Map every full-basis index to the integer read off the listed qubits."""
-    k = len(qubits)
-    indices = np.arange(1 << n, dtype=np.intp)
-    out = np.zeros(1 << n, dtype=np.intp)
-    for j, q in enumerate(qubits):
-        out |= ((indices >> (n - 1 - q)) & 1) << (k - 1 - j)
-    return out
 
 
 def measure_kernel(
@@ -179,14 +207,13 @@ def measure_kernel(
     """
     qubits = tuple(qubits)
     n = state.n
-    for q in qubits:
-        if not 0 <= q < n:
-            raise IndexOutOfRange(f"qubit {q} out of range for {n}-qubit state")
-    if len(set(qubits)) != len(qubits):
-        raise IndexOverlap("measured qubits must be distinct")
-    out_idx = _outcome_indices(n, qubits)
-    weights = np.abs(state.amps) ** 2
-    probs = np.bincount(out_idx, weights=weights, minlength=1 << len(qubits))
+    _check_qubits(n, qubits, "measured qubits must be distinct")
+    tensor = state.tensor()
+    rest = tuple(q for q in range(n) if q not in qubits)
+    # the sum keeps the measured axes in ascending qubit order
+    ascending = sorted(qubits)
+    weights = (np.abs(tensor) ** 2).sum(axis=rest)
+    probs = weights.transpose([ascending.index(q) for q in qubits]).ravel()
     total = float(probs.sum())
     if total < 1e-12:
         raise DegenerateState("state has no probability mass left")
@@ -198,8 +225,12 @@ def measure_kernel(
     p = float(probs[outcome])
     if p < 1e-12:
         raise DegenerateState(f"sampled outcome {outcome} has probability {p}")
-    state.amps[out_idx != outcome] = 0.0
-    state.amps *= 1.0 / math.sqrt(p)
+    index = [slice(None)] * n
+    for j, q in enumerate(qubits):
+        index[q] = _READS[(outcome >> (len(qubits) - 1 - j)) & 1]
+    kept = tensor[tuple(index)] * (1.0 / math.sqrt(p))
+    state.amps.fill(0.0)
+    tensor[tuple(index)] = kept
     return outcome, state
 
 
@@ -219,38 +250,57 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     n = state.n
     if not qubits:
         raise ValueError("dump selection is empty")
-    for q in qubits:
-        if not 0 <= q < n:
-            raise IndexOutOfRange(f"qubit {q} out of range for {n}-qubit state")
-    if len(set(qubits)) != len(qubits):
-        raise IndexOverlap("dumped qubits must be distinct")
-    rest = [i for i in range(n) if i not in qubits]
-    tensor = state.amps.reshape((2,) * n)
-    groups = tensor.transpose(rest + list(qubits)).reshape(-1, 1 << len(qubits))
-    norms = np.linalg.norm(groups, axis=1)
+    _check_qubits(n, qubits, "dumped qubits must be distinct")
+    rest = [q for q in range(n) if q not in qubits]
+    # a view of the state (never written) wherever the strides allow, as for
+    # the trailing qubits in order; a copy otherwise
+    groups = state.tensor().transpose(rest + list(qubits)).reshape(-1, 1 << len(qubits))
+    norms = np.sqrt((np.abs(groups) ** 2).sum(axis=1))
     dominant = int(np.argmax(norms >= norms.max() * (1 - 1e-9)))
     reference = groups[dominant] / norms[dominant]
-    for row, norm in zip(groups, norms):
-        if norm <= 1e-9:
-            continue
-        residual = row - np.vdot(reference, row) * reference
-        if np.linalg.norm(residual) / norm > 1e-9:
-            raise EntangledSelection(
-                f"qubits {qubits} are entangled with the rest of the state"
-            )
+    residual = np.empty(groups.shape, dtype=complex)
+    np.multiply.outer(groups @ reference.conj(), reference, out=residual)
+    np.subtract(groups, residual, out=residual)
+    squares = residual.view(float)
+    np.square(squares, out=squares)
+    residual_norms = np.sqrt(squares.sum(axis=1))
+    if np.any((norms > 1e-9) & (residual_norms > 1e-9 * norms)):
+        raise EntangledSelection(f"qubits {qubits} are entangled with the rest of the state")
     vector = reference
-    for amp in vector:
-        if abs(amp) > DUST:
-            angle = math.atan2(amp.imag, amp.real)
-            if not -math.pi / 2 < angle <= math.pi / 2:
-                vector = -vector
-            break
-    basis_states = tuple(
-        (int(i), complex(vector[i]))
-        for i in range(len(vector))
-        if abs(vector[i]) > DUST
-    )
+    significant = np.flatnonzero(np.abs(vector) > DUST)
+    if significant.size:
+        lead = vector[significant[0]]
+        if not -math.pi / 2 < math.atan2(lead.imag, lead.real) <= math.pi / 2:
+            vector = -vector
+    basis_states = tuple((int(i), complex(vector[i])) for i in significant)
     return DumpData(qubits, basis_states)
+
+
+def _run_block(
+    instructions: Iterable,
+    state: StateVector,
+    rng: Xoshiro256StarStar,
+    futures: dict[int, int],
+    dumps: dict[int, DumpData],
+) -> None:
+    """Run ``instructions`` in order on ``state``, recording futures and dumps."""
+    for ins in instructions:
+        if isinstance(ins, Alloc):
+            state.extend(ins.count)
+        elif isinstance(ins, GateApp):
+            apply_kernel(state, gate_matrix(ins.gate), ins.target, ins.controls)
+        elif isinstance(ins, Measure):
+            outcome, _ = measure_kernel(state, ins.qubits, rng)
+            futures[ins.future] = outcome
+        elif isinstance(ins, Dump):
+            dumps[ins.dump] = extract_dump(state, ins.qubits)
+        elif isinstance(ins, Branch):
+            if futures[ins.condition.future] == ins.condition.equals:
+                _run_block(ins.body, state, rng, futures, dumps)
+            continue  # no state change to re-check
+        norm = state.norm_sq()
+        if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
+            raise EngineFailure(f"state norm drifted by {norm - 1.0:.3g} to {norm} after {ins!r}")
 
 
 def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
@@ -259,31 +309,11 @@ def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
     Allocation extends the state with |0⟩ qubits, gates run through
     ``apply_kernel``, measurements through ``measure_kernel``, dumps through
     ``extract_dump``, and a conditioned block runs iff its future, already
-    recorded earlier in the run, equals the literal.
+    recorded earlier in the run, equals the literal.  A state whose norm
+    drifts from 1 by more than 1e-9 raises EngineFailure.
     """
     code.validate()
-    rng = Xoshiro256StarStar(seed)
-    state = StateVector.zero(0)
     futures: dict[int, int] = {}
     dumps: dict[int, DumpData] = {}
-
-    def run_block(instructions: Iterable) -> None:
-        for ins in instructions:
-            if isinstance(ins, Alloc):
-                state.extend(ins.count)
-            elif isinstance(ins, GateApp):
-                apply_kernel(state, gate_matrix(ins.gate), ins.target, ins.controls)
-            elif isinstance(ins, Measure):
-                outcome, _ = measure_kernel(state, ins.qubits, rng)
-                futures[ins.future] = outcome
-            elif isinstance(ins, Dump):
-                dumps[ins.dump] = extract_dump(state, ins.qubits)
-            elif isinstance(ins, Branch):
-                if futures[ins.condition.future] == ins.condition.equals:
-                    run_block(ins.body)
-                continue  # no state change to re-check
-            norm = state.norm_sq()
-            assert abs(norm - 1.0) <= 1e-9, f"state norm drifted to {norm}"
-
-    run_block(code.instructions)
+    _run_block(code.instructions, StateVector.zero(0), Xoshiro256StarStar(seed), futures, dumps)
     return ExecutionResult(futures=futures, dumps=dumps)

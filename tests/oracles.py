@@ -82,3 +82,35 @@ def max_dev_up_to_phase(got: np.ndarray, expected: np.ndarray) -> float:
     phase = expected.flat[anchor] / got.flat[anchor]
     phase /= abs(phase)
     return float(np.abs(got * phase - expected).max())
+
+
+def measure_oracle(amps: np.ndarray, n: int, qubits, u: float):
+    """Outcome and collapsed amplitudes of measuring ``qubits`` against draw ``u``.
+
+    Visits every basis index on its own: the outcome reads the listed qubits
+    with the first as MSB, and is the first whose cumulative probability,
+    in ascending outcome order, exceeds ``u``.
+    """
+
+    def outcome_of(index: int) -> int:
+        value = 0
+        for q in qubits:
+            value = (value << 1) | ((index >> (n - 1 - q)) & 1)
+        return value
+
+    probs = [0.0] * (1 << len(qubits))
+    for index, amp in enumerate(amps):
+        probs[outcome_of(index)] += abs(amp) ** 2
+    outcome = max(j for j, p in enumerate(probs) if p > 0)
+    cumulative = 0.0
+    for j, p in enumerate(probs):
+        cumulative += p
+        if u < cumulative:
+            outcome = j
+            break
+    scale = 1 / math.sqrt(probs[outcome])
+    collapsed = np.array(
+        [amp * scale if outcome_of(i) == outcome else 0 for i, amp in enumerate(amps)],
+        dtype=complex,
+    )
+    return outcome, collapsed

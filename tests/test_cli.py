@@ -174,6 +174,36 @@ class TestIrRoundTrip:
         assert status == 1
 
 
+class TestHostileInput:
+    def run_document(self, tmp_path, capsys, instructions, num_qubits):
+        path = tmp_path / "program.json"
+        doc = {
+            "version": 1,
+            "num_qubits": num_qubits,
+            "num_futures": 0,
+            "num_dumps": 0,
+            "instructions": instructions,
+        }
+        path.write_text(json.dumps(doc))
+        return run_cli(capsys, "run-ir", str(path))
+
+    def assert_one_error_line(self, status, out, err):
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_allocation_over_the_qubit_limit_exits_one(self, tmp_path, capsys):
+        instructions = [{"op": "alloc", "count": 40}]
+        self.assert_one_error_line(*self.run_document(tmp_path, capsys, instructions, 40))
+
+    def test_angle_overflowing_a_float_exits_one(self, tmp_path, capsys):
+        instructions = [
+            {"op": "alloc", "count": 1},
+            {"op": "gate", "kind": "rx", "angle": 10**400, "target": 0, "controls": []},
+        ]
+        self.assert_one_error_line(*self.run_document(tmp_path, capsys, instructions, 1))
+
+
 class TestBloch:
     def test_x_gate_coordinates(self, capsys):
         status, out, _ = run_cli(capsys, "bloch", "x-gate")

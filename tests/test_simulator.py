@@ -1,6 +1,12 @@
 """Engine semantics: gate matrices, kernels, sampling, snapshots, determinism."""
 
+import gc
 import math
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ import qvm
 from qvm import Gate, GateKind
 from qvm.errors import (
     DegenerateState,
+    EngineFailure,
     EntangledSelection,
     IndexOutOfRange,
     IndexOverlap,
@@ -25,7 +32,7 @@ from qvm.simulator import (
     measure_kernel,
 )
 
-from oracles import dense_controlled, run_gates
+from oracles import dense_controlled, measure_oracle, run_gates
 
 SQRT1_2 = 1 / math.sqrt(2)
 
@@ -174,6 +181,22 @@ class TestMeasureKernel:
         with pytest.raises(DegenerateState):
             measure_kernel(state, (0,), Xoshiro256StarStar(0))
 
+    def test_matches_per_index_oracle_on_300_random_cases(self):
+        rng = np.random.default_rng(2210)
+        for seed in range(300):
+            n = int(rng.integers(1, 7))
+            qubits = tuple(int(q) for q in rng.permutation(n)[: rng.integers(1, n + 1)])
+            state = random_state(rng, n)
+            state.amps[rng.random(1 << n) < 0.3] = 0  # some outcomes impossible
+            state.amps[0] = 1
+            state.amps /= np.linalg.norm(state.amps)
+            want_outcome, want_amps = measure_oracle(
+                state.amps, n, qubits, Xoshiro256StarStar(seed).uniform()
+            )
+            outcome, collapsed = measure_kernel(state, qubits, Xoshiro256StarStar(seed))
+            assert outcome == want_outcome
+            assert np.abs(collapsed.amps - want_amps).max() < 1e-12
+
     def test_statistics_match_born_rule(self):
         # amplitudes fixed arbitrarily; 20000 seeded draws per state
         rng = np.random.default_rng(11)
@@ -279,6 +302,60 @@ class TestExecute:
             result = execute(p.code, seed=0)
             assert result.futures[f.future_id] == 1
             assert result.futures[m.future_id] == expected
+
+    def test_state_is_freed_when_execute_returns(self, monkeypatch):
+        created = []
+        zero = StateVector.zero
+
+        def tracked_zero(n):
+            state = zero(n)
+            created.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(StateVector, "zero", tracked_zero)
+        p = qvm.new_process()
+        a, b = p.alloc(2)
+        qvm.h(a)
+        f = p.measure([a])
+        p.branch(f, 1, lambda: qvm.x(b))
+        p.measure([b])
+        gc.disable()
+        try:
+            execute(p.code, seed=0)
+            # no reference cycle may hold the state until a collection
+            assert len(created) == 1 and created[0]() is None
+        finally:
+            gc.enable()
+
+    def test_norm_drift_raises_engine_failure(self, monkeypatch):
+        monkeypatch.setattr(
+            qvm.simulator, "gate_matrix", lambda gate: 2 * np.eye(2, dtype=complex)
+        )
+        p = qvm.new_process()
+        (a,) = p.alloc(1)
+        qvm.h(a)
+        with pytest.raises(EngineFailure, match="norm drifted"):
+            execute(p.code)
+
+    def test_norm_drift_raises_under_python_optimize(self):
+        script = (
+            "import numpy as np, qvm, qvm.simulator as sim\n"
+            "sim.gate_matrix = lambda gate: 2 * np.eye(2, dtype=complex)\n"
+            "p = qvm.new_process()\n"
+            "qvm.h(p.alloc(1)[0])\n"
+            "try:\n"
+            "    sim.execute(p.code)\n"
+            "except qvm.EngineFailure:\n"
+            "    print('EngineFailure')\n"
+        )
+        src = str(Path(qvm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "EngineFailure\n"
 
     def test_invalid_code_rejected(self):
         bad = qvm.QuantumCode(1, (qvm.Alloc(1), qvm.GateApp(Gate(GateKind.PAULI_X), 5)), 0, 0)
