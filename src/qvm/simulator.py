@@ -21,8 +21,8 @@ the half of the state in which that qubit reads 0 or 1, again as a view:
 Temporary memory per call, for a state of S = 16·2^n bytes: a diagonal gate
 allocates nothing, a dense gate at most 2·S (the copies of both views and two
 products), a measurement at most S (the squared magnitudes, then the kept
-slice), and a dump at most 2.5·S (a copy of the groups where their layout is
-not a view of the state, their magnitudes, then one residual buffer).
+slice), and a dump at most 2·S (a copy of the groups where their layout is
+not a view of the state, and one buffer for projections and residuals).
 
 The interpreter ``_run_block`` is a module function, not a closure inside
 ``execute``: a nested function that calls itself holds a reference to its own
@@ -258,8 +258,11 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     norms = np.sqrt((np.abs(groups) ** 2).sum(axis=1))
     dominant = int(np.argmax(norms >= norms.max() * (1 - 1e-9)))
     reference = groups[dominant] / norms[dominant]
-    residual = np.empty(groups.shape, dtype=complex)
-    np.multiply.outer(groups @ reference.conj(), reference, out=residual)
+    # one C-contiguous buffer (so it has a float view) holds the projections
+    # of every group onto the reference, then the residuals; numpy sums them,
+    # not BLAS matmul, whose first call maps work buffers of its own
+    residual = np.multiply(groups, reference.conj(), out=np.empty(groups.shape, dtype=complex))
+    np.multiply.outer(residual.sum(axis=1), reference, out=residual)
     np.subtract(groups, residual, out=residual)
     squares = residual.view(float)
     np.square(squares, out=squares)
