@@ -9,6 +9,7 @@ with seeds seed, seed+1, ..., so conditioned blocks resample correctly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -148,7 +149,13 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", choices=("human", "json"), default="human")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused.
+
+    Building it takes about a millisecond and leaves cyclic garbage, and
+    ``parse_args`` does not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="qvm", description="Record and simulate small quantum programs."
     )

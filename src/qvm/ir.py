@@ -539,41 +539,58 @@ def _process_of(qubits: Sequence[QubitHandle], what: str) -> Process:
 
 
 @contextmanager
+def _scope(process: Process, begin: Callable[[], None], end: Callable[[], None], value=None):
+    """Run ``begin``, the ``with`` body, then ``end``.
+
+    If ``begin`` or the body raises, every scope opened since entry, this one
+    included, closes without emitting anything more: an adjoint buffer and an
+    around's adjoint are dropped, gates already emitted stay, and the
+    exception propagates.
+    """
+    scopes, arounds = len(process._scopes), len(process._arounds)
+    try:
+        begin()
+        yield value
+    except BaseException:
+        del process._scopes[scopes:]
+        del process._arounds[arounds:]
+        raise
+    end()
+
+
 def ctrl(*qubits: QubitHandle):
-    """Control scope as a ``with`` block; controls come from the handles."""
+    """Control scope as a ``with`` block; controls come from the handles.
+
+    If the body raises, the scope closes, the gates it recorded stay, and the
+    exception propagates.
+    """
     process = _process_of(qubits, "ctrl")
-    process.ctrl_begin(qubits)
-    yield qubits
-    process.ctrl_end()
+    return _scope(process, lambda: process.ctrl_begin(qubits), process.ctrl_end, qubits)
 
 
-@contextmanager
 def adj(process: Process):
-    """Adjoint scope as a ``with`` block: the body is emitted inverted."""
-    process.adj_begin()
-    yield
-    process.adj_end()
+    """Adjoint scope as a ``with`` block: the body is emitted inverted.
+
+    If the body raises, the scope closes, its buffered gates are dropped
+    unemitted, and the exception propagates.
+    """
+    return _scope(process, process.adj_begin, process.adj_end)
 
 
 def around(process: Process, outer: Callable[[], None], inner: Callable[[], None] | None = None):
     """Emit ``outer``, an inner section, then the adjoint of ``outer``.
 
     With ``inner`` given this is a one-shot call; without it, it returns a
-    ``with`` block whose body forms the inner section.
+    ``with`` block whose body forms the inner section.  If ``outer`` or the
+    inner section raises, the scope closes, the adjoint of ``outer`` is not
+    emitted, the gates already emitted stay, and the exception propagates.
     """
+    block = _scope(process, lambda: process.around_begin(outer), process.around_end)
     if inner is not None:
-        process.around_begin(outer)
-        inner()
-        process.around_end()
+        with block:
+            inner()
         return None
-    return _around_block(process, outer)
-
-
-@contextmanager
-def _around_block(process: Process, outer: Callable[[], None]):
-    process.around_begin(outer)
-    yield
-    process.around_end()
+    return block
 
 
 def measure(*qubits: QubitHandle) -> FutureValue:

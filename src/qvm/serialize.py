@@ -129,7 +129,18 @@ def _decode_instruction(obj: Any) -> Instruction:
 
 
 def deserialize(data: bytes | str) -> QuantumCode:
-    """Parse and validate a program document; raises MalformedCode on any defect."""
+    """Parse and validate a program document; raises MalformedCode on any defect.
+
+    A document nested deeper than the parser, decoder or validator can recurse
+    is a defect too.
+    """
+    try:
+        return _decode_document(data)
+    except RecursionError:
+        raise MalformedCode("document is nested too deeply") from None
+
+
+def _decode_document(data: bytes | str) -> QuantumCode:
     try:
         doc = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

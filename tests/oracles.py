@@ -114,3 +114,32 @@ def measure_oracle(amps: np.ndarray, n: int, qubits, u: float):
         dtype=complex,
     )
     return outcome, collapsed
+
+
+def pair_oracle(amps: np.ndarray, n: int, matrix: np.ndarray, target: int, controls):
+    """Amplitudes after a controlled 2x2 gate, bit for bit, from index pairs.
+
+    Lists every pair of flat indices that differ in the target bit and have
+    every control bit set, gathers the two sides into arrays ``a0`` and
+    ``a1``, and forms ``m00*a0 + m01*a1`` and ``m10*a0 + m11*a1``.  A diagonal
+    matrix instead scales each side by its factor unless that is exactly 1.
+    numpy's complex products round by operand order and by loop, so each
+    product is written as the engine's contract has it: ``m * a`` into a
+    fresh array for a full matrix, ``a *= m`` for a diagonal one.
+    """
+    bit = 1 << (n - 1 - target)
+    mask = sum(1 << (n - 1 - c) for c in controls)
+    i0 = [i for i in range(1 << n) if not i & bit and i & mask == mask]
+    i1 = [i | bit for i in i0]
+    a0, a1 = amps[i0], amps[i1]
+    (m00, m01), (m10, m11) = matrix.tolist()
+    out = amps.copy()
+    if m01 == 0 and m10 == 0:
+        for index, side, factor in ((i0, a0, m00), (i1, a1, m11)):
+            if factor != 1:
+                side *= factor
+            out[index] = side
+    else:
+        out[i0] = m00 * a0 + m01 * a1
+        out[i1] = m10 * a0 + m11 * a1
+    return out

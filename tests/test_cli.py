@@ -1,5 +1,6 @@
 """Command-line behavior: output text, exit codes, round trips, determinism."""
 
+import gc
 import json
 
 import jsonschema
@@ -173,6 +174,18 @@ class TestIrRoundTrip:
         status, _, _ = run_cli(capsys, "run-ir", "/nonexistent/program.json")
         assert status == 1
 
+    def test_run_ir_leaves_no_cyclic_garbage(self, tmp_path, capsys):
+        path = tmp_path / "bell.json"
+        assert run_cli(capsys, "emit-ir", "bell", "--out", str(path))[0] == 0
+        assert run_cli(capsys, "run-ir", str(path), "--shots", "4")[0] == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_cli(capsys, "run-ir", str(path), "--shots", "4")[0] == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestHostileInput:
     def run_document(self, tmp_path, capsys, instructions, num_qubits):
@@ -202,6 +215,19 @@ class TestHostileInput:
             {"op": "gate", "kind": "rx", "angle": 10**400, "target": 0, "controls": []},
         ]
         self.assert_one_error_line(*self.run_document(tmp_path, capsys, instructions, 1))
+
+    def test_branch_nested_too_deeply_exits_one(self, tmp_path, capsys):
+        depth = 1000
+        branch = '{"op": "branch", "future": 0, "equals": 0, "body": ['
+        gate = '{"op": "gate", "kind": "x", "target": 0, "controls": []}'
+        path = tmp_path / "program.json"
+        path.write_text(
+            '{"version": 1, "num_qubits": 1, "num_futures": 1, "num_dumps": 0,'
+            ' "instructions": [{"op": "alloc", "count": 1},'
+            ' {"op": "measure", "qubits": [0], "future": 0}, '
+            + branch * depth + gate + "]}" * depth + "]}"
+        )
+        self.assert_one_error_line(*run_cli(capsys, "run-ir", str(path)))
 
 
 class TestBloch:

@@ -262,6 +262,42 @@ class TestAround:
             new_process().around_end()
 
 
+class TestScopesThatRaise:
+    """A body that raises closes its scope, emits nothing more, and propagates."""
+
+    def test_ctrl_keeps_recorded_gates(self):
+        p = new_process()
+        a, b = p.alloc(2)
+        with pytest.raises(RuntimeError):
+            with ctrl(a):
+                qvm.x(b)
+                raise RuntimeError("body failed")
+        assert p.code.instructions[1:] == (GateApp(GATE_X, 1, (0,)),)
+        qvm.x(a)
+        assert p.measure([a, b]).value == 0b10
+
+    def test_adj_drops_its_buffer(self):
+        p = new_process()
+        (a,) = p.alloc(1)
+        with pytest.raises(RuntimeError):
+            with adj(p):
+                qvm.x(a)
+                raise RuntimeError("body failed")
+        assert p.code.instructions[1:] == ()
+        assert p.measure([a]).value == 0
+
+    def test_around_skips_the_adjoint_of_outer(self):
+        p = new_process()
+        a, b = p.alloc(2)
+        with pytest.raises(RuntimeError):
+            with around(p, lambda: qvm.x(a)):
+                with ctrl(a):
+                    qvm.x(b)
+                raise RuntimeError("body failed")
+        assert p.code.instructions[1:] == (GateApp(GATE_X, 0), GateApp(GATE_X, 1, (0,)))
+        assert p.measure([a, b]).value == 0b11
+
+
 class TestMeasureAndFutures:
     def test_measure_records_fresh_future(self):
         p = new_process()

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from qvm.simulator import (
     measure_kernel,
 )
 
-from oracles import dense_controlled, measure_oracle, run_gates
+from oracles import dense_controlled, measure_oracle, pair_oracle, run_gates
 
 SQRT1_2 = 1 / math.sqrt(2)
 
@@ -134,6 +135,58 @@ class TestApplyKernel:
             expected = dense_controlled(gate_matrix(gate), n, target, controls) @ state.amps
             got = apply_kernel(state, gate_matrix(gate), target, controls)
             assert np.abs(got.amps - expected).max() < 1e-10
+
+    @pytest.mark.parametrize("in_place_min", [None, 1], ids=["by-size", "all-in-place"])
+    def test_matches_pair_oracle_bit_for_bit_on_300_cases(self, monkeypatch, in_place_min):
+        if in_place_min is not None:
+            monkeypatch.setattr(qvm.simulator, "_IN_PLACE_MIN", in_place_min)
+        rng = np.random.default_rng(2026)
+
+        def phase():
+            return complex(np.exp(1j * rng.uniform(-math.pi, math.pi)))
+
+        def unitary():
+            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            return q * (np.diag(r) / np.abs(np.diag(r)))
+
+        matrices = [
+            lambda: np.diag([phase(), phase()]),
+            lambda: np.diag([1, phase()]),
+            lambda: np.diag([phase(), 1]),
+            lambda: gate_matrix(Gate(GateKind.PAULI_Z)),
+            lambda: gate_matrix(Gate(GateKind.PAULI_X)),
+            lambda: gate_matrix(Gate(GateKind.PAULI_Y)),
+            lambda: np.array([[0, phase()], [phase(), 0]]),
+            lambda: gate_matrix(Gate(GateKind.HADAMARD)),
+            unitary,
+        ]
+        for case in range(300):
+            n = int(rng.integers(1, 9))
+            target = int(rng.integers(n))
+            others = [q for q in range(n) if q != target]
+            rng.shuffle(others)
+            controls = others[: rng.integers(0, min(3, n - 1) + 1)]
+            matrix = np.asarray(matrices[case % len(matrices)](), dtype=complex)
+            state = random_state(rng, n)
+            expected = pair_oracle(state.amps, n, matrix, target, controls)
+            got = apply_kernel(state, matrix, target, controls)
+            assert np.array_equal(got.amps, expected), (n, target, controls, matrix)
+
+    @pytest.mark.parametrize("kind, bound", [(GateKind.HADAMARD, 1.5), (GateKind.PAULI_X, 1.1)])
+    def test_uncontrolled_gate_allocates_at_most_bound_states(self, kind, bound):
+        n = 16
+        state_bytes = 16 << n
+        matrix = gate_matrix(Gate(kind))
+        for target in (0, n // 2, n - 1):
+            state = StateVector.zero(n)
+            tracemalloc.start()
+            try:
+                live, _ = tracemalloc.get_traced_memory()
+                apply_kernel(state, matrix, target)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - live <= bound * state_bytes, (target, (peak - live) / state_bytes)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(5)
