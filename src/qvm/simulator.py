@@ -70,11 +70,12 @@ _READS = (slice(0, 1), slice(1, 2))
 
 # Dense gates whose views hold at least this many amplitudes (256 KiB) update
 # them in place; smaller ones work on contiguous copies of both views.  In
-# place takes six ufunc calls on strided views, each about 1.3 µs slower than
-# on a contiguous array, which outweighs the temporaries it saves on small
-# states.  On large ones the temporaries cost more: a QFT on a 2-vCPU host
-# took 10.2 ms with copies and 14.0 ms in place at n = 14, and 27.3 against
-# 19.1 ms at n = 15.
+# place takes six ufunc calls on strided views, each 0.7-1.5 µs slower than on
+# a contiguous array: 1.4-1.7x the time per gate below this size, and about
+# 12% fewer shots a second on the shots-small benchmark (n <= 5).  From this
+# size on, the copy form's fresh temporaries cost more: per uncontrolled H on
+# a 2-vCPU x86-64 host, 2^13 amplitudes took 89 µs with copies and 114 µs in
+# place, 2^14 took 682 and 616 µs, and 2^17 8.0 and 4.4 ms.
 _IN_PLACE_MIN = 1 << 14
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -219,7 +220,11 @@ def apply_kernel(
         # the factor first and writes to memory apart from its input, because
         # numpy's vector loop rounds ``m * a`` and ``a * m`` differently and
         # falls back to a scalar loop, which rounds differently again, when
-        # an output is also an input or interleaves with one.
+        # an output is also an input or interleaves with one.  This was seen
+        # with numpy 2.4.6 on an x86-64 host with AVX-512; it is observed
+        # behaviour, not a numpy guarantee.  If the bit-exact pair-oracle test
+        # fails after a numpy or CPU change while the amplitudes agree to an
+        # ulp, suspect that change before this code.
         a1 = m01 * v1
         np.multiply(m00, a0, out=v0)
         v0 += a1
