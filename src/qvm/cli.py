@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     BadFormat,
@@ -29,17 +28,6 @@ from .serialize import deserialize, serialize
 from .simulator import ExecutionResult, execute
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass
-class RunConfig:
-    """Settings for one run: program source, seeds, repetitions, rendering."""
-
-    target: str
-    seed: int = 0
-    shots: int = 1
-    format: str | None = None
-    output: str = "human"
 
 
 def _build_example(name: str) -> QuantumCode:
@@ -68,14 +56,12 @@ def _result_json(result: ExecutionResult) -> dict:
     }
 
 
-def _run_code(code: QuantumCode, config: RunConfig) -> int:
-    if config.shots < 1:
+def _run_code(code: QuantumCode, args: argparse.Namespace) -> int:
+    if args.shots < 1:
         raise ValueError("shots must be >= 1")
-    spec = parse_format(config.format or "")
-    results = [
-        execute(code, (config.seed + shot) & _MASK64) for shot in range(config.shots)
-    ]
-    if config.output == "json":
+    spec = parse_format(args.format or "")
+    results = [execute(code, (args.seed + shot) & _MASK64) for shot in range(args.shots)]
+    if args.output == "json":
         for result in results:
             print(json.dumps(_result_json(result)))
         return 0
@@ -89,7 +75,7 @@ def _run_code(code: QuantumCode, config: RunConfig) -> int:
             key = tuple(result.futures[fid] for fid in range(code.num_futures))
             counts[key] = counts.get(key, 0) + 1
         lines = [
-            f"{' '.join(str(v) for v in key)}: {count} ({count / config.shots * 100:.2f}%)"
+            f"{' '.join(str(v) for v in key)}: {count} ({count / args.shots * 100:.2f}%)"
             for key, count in sorted(counts.items())
         ]
         sections.append("\n".join(lines))
@@ -99,15 +85,13 @@ def _run_code(code: QuantumCode, config: RunConfig) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = RunConfig(args.example, args.seed, args.shots, args.format, args.output)
-    return _run_code(_build_example(args.example), config)
+    return _run_code(_build_example(args.example), args)
 
 
 def _cmd_run_ir(args: argparse.Namespace) -> int:
     with open(args.path, "rb") as handle:
         data = handle.read()
-    config = RunConfig(args.path, args.seed, args.shots, args.format, args.output)
-    return _run_code(deserialize(data), config)
+    return _run_code(deserialize(data), args)
 
 
 def _cmd_emit_ir(args: argparse.Namespace) -> int:

@@ -10,12 +10,16 @@ is invalid and every attempt to extend the program raises
 
 Scope rules enforced while recording:
 
+* scopes nest: an ``*_end`` closes only the innermost open scope, and a
+  conditioned-block body must close every scope it opens;
 * allocation, measurement, and dumps are rejected inside any open control or
-  adjoint scope, and inside conditioned-block bodies;
+  adjoint scope and inside conditioned-block bodies; an around's inner
+  section may measure and allocate;
 * control scopes accumulate: each recorded gate picks up the controls of all
   open control scopes, outermost first;
 * adjoint scopes buffer gates and, on close, append the reversed sequence
-  with each gate inverted, so nested adjoints cancel pairwise.
+  with each gate inverted, so nested adjoints cancel pairwise;
+* a failing ``around_end`` or ``with`` scope body leaves no scope open.
 """
 
 from __future__ import annotations
@@ -219,14 +223,14 @@ class ProcessState(Enum):
     EXECUTED = "executed"
 
 
-@dataclass
-class _CtrlScope:
-    controls: tuple[int, ...]
+@dataclass(slots=True)
+class _Scope:
+    """One open scope; ``kind`` is "control", "adjoint", "around" or "branch"."""
 
-
-@dataclass
-class _AdjScope:
-    buffer: list[GateApp] = field(default_factory=list)
+    kind: str
+    controls: tuple[int, ...] = ()  # control
+    buffer: list[Instruction] | None = None  # adjoint and branch: where gates go
+    outer: Callable[[], None] | None = None  # around
 
 
 _process_ids = itertools.count()
@@ -311,14 +315,11 @@ class Process:
         self.id = next(_process_ids)
         self.seed = seed
         self.engine = engine
-        self.state = ProcessState.BUILDING
         self.num_qubits = 0
         self.num_futures = 0
         self.num_dumps = 0
         self._instructions: list[Instruction] = []
-        self._scopes: list[_CtrlScope | _AdjScope] = []
-        self._bodies: list[list[Instruction]] = []
-        self._arounds: list[Callable[[], None]] = []
+        self._scopes: list[_Scope] = []
         self._result: "ExecutionResult | None" = None
 
     def __repr__(self):
@@ -338,10 +339,14 @@ class Process:
     def result(self) -> "ExecutionResult | None":
         return self._result
 
+    @property
+    def state(self) -> ProcessState:
+        return ProcessState.BUILDING if self._result is None else ProcessState.EXECUTED
+
     # -- internal plumbing ------------------------------------------------
 
     def _require_building(self) -> None:
-        if self.state is not ProcessState.BUILDING:
+        if self._result is not None:
             raise ProcessTerminated(
                 f"process {self.id} already executed; allocate a new one"
             )
@@ -353,26 +358,27 @@ class Process:
     def _active_controls(self) -> tuple[int, ...]:
         out: list[int] = []
         for scope in self._scopes:
-            if isinstance(scope, _CtrlScope):
-                out.extend(scope.controls)
+            out.extend(scope.controls)
         return tuple(out)
 
-    def _emit_gate(self, ins: GateApp) -> None:
+    def _emit(self, ins: Instruction) -> None:
         for scope in reversed(self._scopes):
-            if isinstance(scope, _AdjScope):
+            if scope.buffer is not None:
                 scope.buffer.append(ins)
                 return
-        self._sink().append(ins)
+        self._instructions.append(ins)
 
-    def _sink(self) -> list[Instruction]:
-        return self._bodies[-1] if self._bodies else self._instructions
+    def _close(self, kind: str) -> _Scope:
+        if not self._scopes or self._scopes[-1].kind != kind:
+            raise ScopeUnderflow(f"no open {kind} scope to close")
+        return self._scopes.pop()
 
     def _require_no_scopes(self, what: str) -> None:
-        if self._scopes:
-            kind = "adjoint" if isinstance(self._scopes[-1], _AdjScope) else "control"
-            raise ScopeViolation(f"{what} is not allowed inside an open {kind} scope")
-        if self._bodies:
-            raise ScopeViolation(f"{what} is not allowed inside a conditioned block")
+        for scope in reversed(self._scopes):
+            if scope.kind == "branch":
+                raise ScopeViolation(f"{what} is not allowed inside a conditioned block")
+            if scope.kind != "around":
+                raise ScopeViolation(f"{what} is not allowed inside an open {scope.kind} scope")
 
     # -- builder operations -----------------------------------------------
 
@@ -398,7 +404,7 @@ class Process:
             raise ControlTargetOverlap(
                 f"qubit {target.index} is an active control and cannot be a target"
             )
-        self._emit_gate(GateApp(gate, target.index, controls))
+        self._emit(GateApp(gate, target.index, controls))
         return target
 
     def ctrl_begin(self, controls: Sequence[QubitHandle]) -> None:
@@ -416,38 +422,31 @@ class Process:
             if idx in seen or idx in active:
                 raise DuplicateControl(f"qubit {idx} is already an active control")
             seen.add(idx)
-        self._scopes.append(_CtrlScope(indices))
+        self._scopes.append(_Scope("control", controls=indices))
 
     def ctrl_end(self) -> None:
-        if not self._scopes or not isinstance(self._scopes[-1], _CtrlScope):
-            raise ScopeUnderflow("no open control scope to close")
-        self._scopes.pop()
+        self._close("control")
 
     def adj_begin(self) -> None:
         """Open an adjoint scope: gates buffer until ``adj_end`` emits their inverse."""
         self._require_building()
-        self._scopes.append(_AdjScope())
+        self._scopes.append(_Scope("adjoint", buffer=[]))
 
     def adj_end(self) -> None:
-        if not self._scopes or not isinstance(self._scopes[-1], _AdjScope):
-            raise ScopeUnderflow("no open adjoint scope to close")
-        scope = self._scopes.pop()
-        for ins in reversed(scope.buffer):
-            self._emit_gate(GateApp(ins.gate.inverse(), ins.target, ins.controls))
+        for ins in reversed(self._close("adjoint").buffer):
+            self._emit(GateApp(ins.gate.inverse(), ins.target, ins.controls))
 
     def around_begin(self, outer: Callable[[], None]) -> None:
         """Emit ``outer`` now and remember it; ``around_end`` emits its adjoint."""
         self._require_building()
-        self._arounds.append(outer)
+        self._scopes.append(_Scope("around", outer=outer))
         outer()
 
     def around_end(self) -> None:
-        if not self._arounds:
-            raise ScopeUnderflow("no open around scope to close")
-        outer = self._arounds.pop()
-        self.adj_begin()
-        outer()
-        self.adj_end()
+        """Emit the adjoint of the innermost around's ``outer``; on failure, emit none."""
+        outer = self._close("around").outer
+        with _scope(self, self.adj_begin, self.adj_end):
+            outer()
 
     def measure(self, qubits: QubitHandle | Sequence[QubitHandle]) -> FutureValue:
         """Record a measurement; the first listed qubit is the outcome's MSB.
@@ -493,25 +492,26 @@ class Process:
             raise UnknownFuture(f"{future!r} was not produced by process {self.id}")
         if equals < 0:
             raise ValueError("condition literal must be non-negative")
-        if self._scopes:
+        if any(scope.kind in ("control", "adjoint") for scope in self._scopes):
             raise ScopeViolation("conditioned blocks cannot open inside control/adjoint scopes")
-        self._bodies.append([])
+        depth = len(self._scopes)
+        frame = _Scope("branch", buffer=[])
+        self._scopes.append(frame)
         try:
             body()
-            if self._scopes:
+            if len(self._scopes) > depth + 1:
                 raise ScopeViolation("conditioned block left scopes open")
         finally:
-            recorded = self._bodies.pop()
-        self._sink().append(Branch(Condition(future.future_id, equals), tuple(recorded)))
+            del self._scopes[depth:]
+        self._emit(Branch(Condition(future.future_id, equals), tuple(frame.buffer)))
 
     # -- execution ---------------------------------------------------------
 
     def execute(self) -> "ExecutionResult":
         """Run the recorded program once on the configured engine; idempotent."""
-        if self.state is ProcessState.EXECUTED:
-            assert self._result is not None
+        if self._result is not None:
             return self._result
-        if self._scopes or self._bodies or self._arounds:
+        if self._scopes:
             raise ScopeViolation("cannot execute with open scopes")
         engine = self.engine
         if engine is None:
@@ -520,7 +520,6 @@ class Process:
             engine = simulator.execute
         result = engine(self.code, self.seed)
         self._result = result
-        self.state = ProcessState.EXECUTED
         return result
 
 
@@ -542,20 +541,19 @@ def _process_of(qubits: Sequence[QubitHandle], what: str) -> Process:
 def _scope(process: Process, begin: Callable[[], None], end: Callable[[], None], value=None):
     """Run ``begin``, the ``with`` body, then ``end``.
 
-    If ``begin`` or the body raises, every scope opened since entry, this one
-    included, closes without emitting anything more: an adjoint buffer and an
-    around's adjoint are dropped, gates already emitted stay, and the
-    exception propagates.
+    If ``begin``, the body or ``end`` raises, every scope opened since entry,
+    this one included, closes without emitting anything more: an adjoint
+    buffer and an around's adjoint are dropped, gates already emitted stay,
+    and the exception propagates.
     """
-    scopes, arounds = len(process._scopes), len(process._arounds)
+    depth = len(process._scopes)
     try:
         begin()
         yield value
+        end()
     except BaseException:
-        del process._scopes[scopes:]
-        del process._arounds[arounds:]
+        del process._scopes[depth:]
         raise
-    end()
 
 
 def ctrl(*qubits: QubitHandle):

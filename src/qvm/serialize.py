@@ -61,16 +61,23 @@ def _encode_instruction(ins: Instruction) -> dict[str, Any]:
 
 
 def serialize(code: QuantumCode) -> bytes:
-    """Encode a validated program as UTF-8 JSON."""
-    code.validate()
-    doc = {
-        "version": FORMAT_VERSION,
-        "num_qubits": code.num_qubits,
-        "num_futures": code.num_futures,
-        "num_dumps": code.num_dumps,
-        "instructions": [_encode_instruction(i) for i in code.instructions],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    """Encode a validated program as UTF-8 JSON.
+
+    A program nested deeper than the validator or encoder can recurse raises
+    MalformedCode, as it would in ``deserialize``.
+    """
+    try:
+        code.validate()
+        doc = {
+            "version": FORMAT_VERSION,
+            "num_qubits": code.num_qubits,
+            "num_futures": code.num_futures,
+            "num_dumps": code.num_dumps,
+            "instructions": [_encode_instruction(i) for i in code.instructions],
+        }
+        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    except RecursionError:
+        raise MalformedCode("program is nested too deeply") from None
 
 
 def _need(obj: dict, key: str, kinds) -> Any:

@@ -298,6 +298,79 @@ class TestScopesThatRaise:
         assert p.measure([a, b]).value == 0b11
 
 
+class TestScopesNest:
+    """An ``*_end`` closes only the innermost scope; a failed close leaves none open."""
+
+    def test_around_end_does_not_close_past_a_ctrl_scope(self):
+        p = new_process()
+        a, b = p.alloc(2)
+        p.around_begin(lambda: qvm.h(a))
+        p.ctrl_begin([b])
+        with pytest.raises(ScopeUnderflow):
+            p.around_end()
+        assert p.code.instructions[1:] == (GateApp(GATE_H, 0),)
+        p.ctrl_end()
+        p.around_end()
+        assert p.code.instructions[1:] == (GateApp(GATE_H, 0), GateApp(GATE_H, 0))
+        assert p.measure([a, b]).value == 0
+
+    def test_branch_body_must_close_its_around(self):
+        p = new_process()
+        a, b = p.alloc(2)
+        f = p.measure([a])
+        with pytest.raises(ScopeViolation):
+            p.branch(f, 1, lambda: p.around_begin(lambda: qvm.x(b)))
+        with pytest.raises(ScopeUnderflow):
+            p.around_end()
+        assert p.code.instructions[1:] == (Measure((0,), 0),)
+        assert p.measure([b]).value == 0
+
+    def test_adj_end_does_not_close_past_an_around(self):
+        p = new_process()
+        (a,) = p.alloc(1)
+        p.adj_begin()
+        p.around_begin(lambda: qvm.x(a))
+        with pytest.raises(ScopeUnderflow):
+            p.adj_end()
+        assert p.code.instructions[1:] == ()
+        p.around_end()
+        p.adj_end()
+        assert p.code.instructions[1:] == (GateApp(GATE_X, 0), GateApp(GATE_X, 0))
+        assert p.measure([a]).value == 0
+
+    def test_around_whose_outer_measures_fails_on_close_and_leaves_no_scope(self):
+        p = new_process()
+        a, b = p.alloc(2)
+
+        def outer():
+            qvm.x(a)
+            p.measure([b])
+
+        with pytest.raises(ScopeViolation):
+            with around(p, outer):
+                qvm.h(b)
+        assert p.code.instructions[1:] == (
+            GateApp(GATE_X, 0),
+            Measure((1,), 0),
+            GateApp(GATE_H, 1),
+        )
+        assert p.measure([a]).value == 1
+
+    def test_inner_section_of_around_may_measure_and_allocate(self):
+        p = new_process()
+        (a,) = p.alloc(1)
+        with around(p, lambda: qvm.x(a)):
+            p.alloc(1)
+            f = p.measure([a])
+        assert p.code.instructions[1:] == (
+            GateApp(GATE_X, 0),
+            Alloc(1),
+            Measure((0,), 0),
+            GateApp(GATE_X, 0),
+        )
+        assert f.value == 1
+
+
 class TestMeasureAndFutures:
     def test_measure_records_fresh_future(self):
         p = new_process()

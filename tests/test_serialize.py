@@ -175,3 +175,49 @@ def random_programs(draw):
 @given(random_programs())
 def test_round_trip_identity_on_random_programs(code):
     assert deserialize(serialize(code)) == code
+
+
+def nested_code(depth):
+    """A program whose X gate sits ``depth`` branches deep, built without the builder."""
+    body = (qvm.GateApp(Gate(GateKind.PAULI_X), 0),)
+    for _ in range(depth):
+        body = (qvm.Branch(qvm.Condition(0, 0), body),)
+    return qvm.QuantumCode(1, (qvm.Alloc(1), qvm.Measure((0,), 0)) + body, num_futures=1)
+
+
+def test_deep_nesting_is_malformed_on_encode_and_shallower_round_trips():
+    with pytest.raises(MalformedCode, match="nested too deeply"):
+        serialize(nested_code(600))
+    # compared as bytes: ``==`` on 300 nested dataclasses itself recurses too deeply
+    data = serialize(nested_code(300))
+    assert serialize(deserialize(data)) == data
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+SPLICE_PATHS = [
+    (),
+    *[(key,) for key in ("version", "num_qubits", "num_futures", "num_dumps", "instructions")],
+    *[("instructions", i) for i in range(6)],  # bell_code records six instructions
+]
+
+
+@given(json_values, st.sampled_from(SPLICE_PATHS))
+def test_arbitrary_json_decodes_or_raises_a_qvm_error(value, path):
+    """Alone, or spliced into a valid document at ``path``."""
+    doc = value
+    if path:
+        doc = json.loads(serialize(bell_code()))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    try:
+        code = deserialize(json.dumps(doc))
+    except qvm.QvmError:
+        return
+    assert isinstance(code, qvm.QuantumCode)
