@@ -151,9 +151,11 @@ class QuantumCode:
             raise MalformedCode(
                 f"program allocates {state.allocated} qubits, header says {self.num_qubits}"
             )
-        if state.futures_seen != set(range(self.num_futures)):
+        # lengths first, so a hostile header count builds no huge range
+        futures, dumps = state.futures_seen, state.dumps_seen
+        if len(futures) != self.num_futures or futures != set(range(self.num_futures)):
             raise MalformedCode("future ids are not exactly 0..num_futures-1")
-        if state.dumps_seen != set(range(self.num_dumps)):
+        if len(dumps) != self.num_dumps or dumps != set(range(self.num_dumps)):
             raise MalformedCode("dump ids are not exactly 0..num_dumps-1")
 
 
@@ -544,12 +546,16 @@ def _scope(process: Process, begin: Callable[[], None], end: Callable[[], None],
     If ``begin``, the body or ``end`` raises, every scope opened since entry,
     this one included, closes without emitting anything more: an adjoint
     buffer and an around's adjoint are dropped, gates already emitted stay,
-    and the exception propagates.
+    and the exception propagates.  A body that returns with a scope left
+    open, or with this scope already closed, raises ``ScopeViolation`` in
+    the same way, so ``end`` closes only the scope ``begin`` opened.
     """
     depth = len(process._scopes)
     try:
         begin()
         yield value
+        if len(process._scopes) != depth + 1:
+            raise ScopeViolation("scope body must close exactly the scopes it opens")
         end()
     except BaseException:
         del process._scopes[depth:]

@@ -44,7 +44,10 @@ def recognize_sqrt_fraction(amplitude: complex) -> tuple[int, int, int] | None:
 
     Fires when the amplitude is real within 1e-9 and |amplitude| is within
     1e-9 of a/√b for 1 <= a <= 32, 1 <= b <= 2^20 with a² and b coprime;
-    the smallest such b wins.
+    the smallest such b wins.  The search tries a in ascending order, and b
+    ascending near (a/|amplitude|)², and returns at the first match, which is
+    the one with the smallest b.  A match at a = 1 costs a few microseconds;
+    a value that matches nothing still tries all 32 numerators.
     """
     amplitude = complex(amplitude)
     if abs(amplitude.imag) > 1e-9:
@@ -52,7 +55,10 @@ def recognize_sqrt_fraction(amplitude: complex) -> tuple[int, int, int] | None:
     value = abs(amplitude.real)
     if value < 0.5 / math.sqrt(SQRT_DENOM_LIMIT):
         return None
-    best: tuple[int, int] | None = None
+    sign = -1 if amplitude.real < 0 else 1
+    # The first match has the smallest b.  Two matches (a, b) and (a', b')
+    # with a < a' lie within 2e-9 of each other.  If b' <= b, then
+    # a'/√b' >= (a+1)/√b >= a/√b + 2^-10, since b <= 2^20; so b' > b.
     for a in range(1, SQRT_NUMER_LIMIT + 1):
         exact = (a / value) ** 2
         if exact > SQRT_DENOM_LIMIT + 2:
@@ -61,12 +67,8 @@ def recognize_sqrt_fraction(amplitude: complex) -> tuple[int, int, int] | None:
         high = min(SQRT_DENOM_LIMIT, math.ceil(exact) + 2)
         for b in range(low, high + 1):
             if abs(value - a / math.sqrt(b)) < 1e-9 and math.gcd(a * a, b) == 1:
-                if best is None or b < best[1]:
-                    best = (a, b)
-    if best is None:
-        return None
-    sign = -1 if amplitude.real < 0 else 1
-    return sign, best[0], best[1]
+                return sign, a, b
+    return None
 
 
 def show(data: DumpData, spec: FormatSpec | str = "") -> str:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 import qvm
+from qvm.render import SQRT_DENOM_LIMIT, SQRT_NUMER_LIMIT
 from qvm.simulator import StateVector, apply_kernel, gate_matrix
 
 I2 = np.eye(2, dtype=complex)
@@ -143,3 +144,29 @@ def pair_oracle(amps: np.ndarray, n: int, matrix: np.ndarray, target: int, contr
         out[i0] = m00 * a0 + m01 * a1
         out[i1] = m10 * a0 + m11 * a1
     return out
+
+
+def sqrt_fraction_oracle(amplitude: complex) -> tuple[int, int, int] | None:
+    """``recognize_sqrt_fraction`` by full search: every numerator is tried
+    and the smallest matching b is kept."""
+    amplitude = complex(amplitude)
+    if abs(amplitude.imag) > 1e-9:
+        return None
+    value = abs(amplitude.real)
+    if value < 0.5 / math.sqrt(SQRT_DENOM_LIMIT):
+        return None
+    best: tuple[int, int] | None = None
+    for a in range(1, SQRT_NUMER_LIMIT + 1):
+        exact = (a / value) ** 2
+        if exact > SQRT_DENOM_LIMIT + 2:
+            continue
+        low = max(1, math.floor(exact) - 2)
+        high = min(SQRT_DENOM_LIMIT, math.ceil(exact) + 2)
+        for b in range(low, high + 1):
+            if abs(value - a / math.sqrt(b)) < 1e-9 and math.gcd(a * a, b) == 1:
+                if best is None or b < best[1]:
+                    best = (a, b)
+    if best is None:
+        return None
+    sign = -1 if amplitude.real < 0 else 1
+    return sign, best[0], best[1]

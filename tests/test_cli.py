@@ -1,10 +1,15 @@
 """Command-line behavior: output text, exit codes, round trips, determinism."""
 
+import copy
 import gc
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvm.cli import main
 from qvm.examples import EXAMPLES
@@ -187,6 +192,67 @@ class TestIrRoundTrip:
             gc.enable()
 
 
+FUZZ_BASE = {
+    "version": 1,
+    "num_qubits": 3,
+    "num_futures": 1,
+    "num_dumps": 1,
+    "instructions": [
+        {"op": "alloc", "count": 3},
+        {"op": "gate", "kind": "h", "target": 0, "controls": []},
+        {"op": "gate", "kind": "rx", "angle": 0.5, "target": 1, "controls": [0]},
+        {"op": "measure", "qubits": [0], "future": 0},
+        {
+            "op": "branch",
+            "future": 0,
+            "equals": 1,
+            "body": [
+                {"op": "gate", "kind": "phase", "angle": 1.25, "target": 2, "controls": [1]},
+                {
+                    "op": "branch",
+                    "future": 0,
+                    "equals": 1,
+                    "body": [{"op": "gate", "kind": "x", "target": 2, "controls": []}],
+                },
+            ],
+        },
+        {"op": "dump", "qubits": [1, 2], "dump": 0},
+    ],
+}
+# Valid sizes stop at 12 qubits to keep the test fast and small; 25-30 are
+# over MAX_QUBITS and must be refused before any state is allocated.  An id
+# of 10**12 in a header count must be refused without building that range.
+FUZZ_VALUES = {
+    "angle": st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400])
+    | st.floats(-10, 10),
+    "qubit": st.integers(-3, 5) | st.sampled_from([1 << 63, -(1 << 63), 10**30]),
+    "id": st.integers(-2, 3) | st.sampled_from([1 << 63, 10**12]),
+    "size": st.integers(-1, 12) | st.integers(25, 30),
+}
+FUZZ_FIELDS = {
+    "future": "id",
+    "dump": "id",
+    "equals": "id",
+    "angle": "angle",
+    "target": "qubit",
+    "count": "size",
+}
+
+
+def fuzz_slots(doc):
+    """``(container, key, kind)`` for every field of ``doc`` the fuzz may overwrite."""
+    slots = [(doc, key, "id") for key in ("num_futures", "num_dumps")]
+    slots.append((doc, "num_qubits", "size"))
+    stack = list(doc["instructions"])
+    while stack:
+        ins = stack.pop()
+        slots.extend((ins, key, kind) for key, kind in FUZZ_FIELDS.items() if key in ins)
+        for key in ("controls", "qubits"):
+            slots.extend((ins[key], i, "qubit") for i in range(len(ins.get(key, ()))))
+        stack.extend(ins.get("body", ()))
+    return slots
+
+
 class TestHostileInput:
     def run_document(self, tmp_path, capsys, instructions, num_qubits):
         path = tmp_path / "program.json"
@@ -228,6 +294,48 @@ class TestHostileInput:
             + branch * depth + gate + "]}" * depth + "]}"
         )
         self.assert_one_error_line(*run_cli(capsys, "run-ir", str(path)))
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_mutated_documents_exit_cleanly(self, tmp_path_factory, data):
+        doc = copy.deepcopy(FUZZ_BASE)
+        for _ in range(data.draw(st.integers(0, 3))):
+            mutation = data.draw(st.sampled_from(("field", "resize", "nest")))
+            instructions = doc["instructions"]
+            if mutation == "field":
+                container, key, kind = data.draw(st.sampled_from(fuzz_slots(doc)))
+                container[key] = data.draw(FUZZ_VALUES[kind])
+            elif mutation == "resize" and "count" in instructions[0]:
+                doc["num_qubits"] = instructions[0]["count"] = data.draw(FUZZ_VALUES["size"])
+            else:
+                index = data.draw(st.integers(0, len(instructions) - 1))
+                for _ in range(data.draw(st.integers(1, 40))):
+                    instructions[index] = {
+                        "op": "branch",
+                        "future": 0,
+                        "equals": data.draw(st.integers(0, 1)),
+                        "body": [instructions[index]],
+                    }
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_text(json.dumps(doc))
+        argv = [
+            "run-ir",
+            str(path),
+            "--shots",
+            str(data.draw(st.integers(0, 4))),
+            "--seed",
+            str(data.draw(st.integers(-(1 << 64), 1 << 64))),
+            "--output",
+            data.draw(st.sampled_from(("human", "json", "xml"))),
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+        assert status in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestBloch:

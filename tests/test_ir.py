@@ -370,6 +370,18 @@ class TestScopesNest:
         )
         assert f.value == 1
 
+    def test_with_block_closes_only_the_scope_it_opened(self):
+        p = new_process()
+        a, b, c = p.alloc(3)
+        with pytest.raises(ScopeViolation):
+            with ctrl(a):
+                p.ctrl_begin([b])
+        assert p._scopes == []
+        assert p.code.instructions[1:] == ()
+        qvm.x(c)
+        assert p.code.instructions[1:] == (GateApp(GATE_X, 2),)
+        assert p.measure([c]).value == 1
+
 
 class TestMeasureAndFutures:
     def test_measure_records_fresh_future(self):

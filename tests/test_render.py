@@ -19,6 +19,8 @@ from qvm.render import (
 )
 from qvm.simulator import DumpData, StateVector, extract_dump
 
+from oracles import sqrt_fraction_oracle
+
 SQRT1_2 = 1 / math.sqrt(2)
 
 
@@ -127,6 +129,27 @@ class TestRecognizer:
                 assert got is None or got[2] > limit
             else:
                 assert got == (1, *expected)
+
+    def test_early_return_matches_the_full_search(self):
+        # seeded sweep, compared for exact tuple equality with the full search
+        rng = np.random.default_rng(20261018)
+        count = 6000
+        a = rng.integers(1, 41, count)
+        b = rng.integers(1, (1 << rng.integers(0, 21, count)) + 6)  # up to 2^20 + 5
+        b[: count // 6] = rng.integers((1 << 20) - 64, (1 << 20) + 6, count // 6)
+        lattice = a / np.sqrt(b) * rng.choice([-1, 1], count)
+        lattice += rng.uniform(-2e-9, 2e-9, count) * rng.integers(0, 2, count)
+        imag = rng.uniform(-2e-9, 2e-9, count) * rng.integers(0, 2, count)
+        values = [
+            *(lattice + 1j * imag),
+            *rng.uniform(-40, 40, 5000),
+            *rng.uniform(-1, 1, 5000),
+            *(10.0 ** rng.uniform(-4, 2, 4000) * rng.choice([-1, 1], 4000)),
+            0.0,
+            -0.0,
+        ]
+        for value in values:
+            assert recognize_sqrt_fraction(value) == sqrt_fraction_oracle(value), value
 
 
 class TestShow:
