@@ -7,29 +7,34 @@ array whose axis ``i`` is qubit ``i``.  That array is a reshape of the flat
 vector, so it is a view, and slicing an axis to ``0:1`` or ``1:2`` selects
 the half of the state in which that qubit reads 0 or 1, again as a view:
 
-- A gate takes two views, with every control axis at ``1:2`` and the target
-  axis at ``0:1`` and ``1:2``, and updates them in place.  A diagonal matrix
-  (Z, RZ, phase and their controlled forms, most of a QFT) only scales the
-  views whose factor is not exactly 1.  An anti-diagonal one (X, Y, CNOT and
-  any multi-controlled X) swaps the views through a copy of one, scaling
-  only by a factor that is not exactly 1.  Any other matrix (H, RX, RY)
-  forms ``m00*a0 + m01*a1`` and ``m10*a0 + m11*a1`` from copies of both
-  views when they are small; on views of ``_IN_PLACE_MIN`` amplitudes or
-  more it copies one view and writes both in place through one more
-  half-state buffer, with the same products and sums bit for bit.
+- A gate takes one pair view, with every control axis at ``1:2`` and the
+  target axis moved to the front, so ``pair[:1]`` and ``pair[1:]`` are the
+  sides in which the target reads 0 and 1.  Its index and axis order come
+  from a bounded cache keyed by ``(n, target, controls)``, and the gate
+  updates the view in place.  A diagonal matrix (Z, RZ, phase and their
+  controlled forms, most of a QFT) only scales the sides whose factor is not
+  exactly 1.  An anti-diagonal one (X, Y, CNOT and any multi-controlled X)
+  assigns the pair reversed along the target axis, times the factors
+  ``(m01, m10)`` unless it is an X.  Any other matrix (H, RX, RY) forms the
+  four products ``m[i, j] * a_j`` in one broadcast multiply and sums them in
+  pairs into the view when its sides are small; on sides of
+  ``_IN_PLACE_MIN`` amplitudes or more it copies one side and writes both in
+  place through one more half-state buffer, with the same products and sums
+  bit for bit.
 - A measurement sums ``|amplitude|²`` over the unmeasured axes, samples an
   outcome, and keeps only that outcome's slice.
 - A dump checks every group of amplitudes (one per pattern of the unselected
   qubits) against one reference group in a single rank-1 residual.
 
 Temporary memory per call, for a state of S = 16·2^n bytes: a diagonal gate
-allocates nothing; an anti-diagonal one, or a dense one in place, at most S
-(the copy of one view, and one product or numpy's copy of the other view)
+allocates nothing; an anti-diagonal one at most S (the scaled pair, or for
+an X numpy's copy of the reversed pair, which overlaps its destination), and
+a dense one in place at most S (the copy of one side and one product), each
 plus numpy's iteration buffers of 8192 amplitudes per strided operand; a
-dense one on small views at most 2·S (the copies of both views and two
-products); a measurement at most S (the squared magnitudes, then the kept
-slice); and a dump at most 2·S (a copy of the groups where their layout is
-not a view of the state, and one buffer for projections and residuals).
+dense one with small sides at most 2·S (the four products); a measurement at
+most S (the squared magnitudes, then the kept slice); and a dump at most
+2·S (a copy of the groups where their layout is not a view of the state,
+and one buffer for projections and residuals).
 
 The interpreter ``_run_block`` is a module function, not a closure inside
 ``execute``: a nested function that calls itself holds a reference to its own
@@ -45,6 +50,7 @@ against the cumulative outcome distribution in ascending outcome order.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -68,28 +74,47 @@ DUST = 1e-12
 # integer, so indexing every axis still yields a view.
 _READS = (slice(0, 1), slice(1, 2))
 
-# Dense gates whose views hold at least this many amplitudes (256 KiB) update
-# them in place; smaller ones work on contiguous copies of both views.  In
-# place takes six ufunc calls on strided views, each 0.7-1.5 µs slower than on
-# a contiguous array: 1.4-1.7x the time per gate below this size, and about
-# 12% fewer shots a second on the shots-small benchmark (n <= 5).  From this
-# size on, the copy form's fresh temporaries cost more: per uncontrolled H on
-# a 2-vCPU x86-64 host, 2^13 amplitudes took 89 µs with copies and 114 µs in
-# place, 2^14 took 682 and 616 µs, and 2^17 8.0 and 4.4 ms.
-_IN_PLACE_MIN = 1 << 14
+# Dense gates whose sides hold at least this many amplitudes (32 KiB) update
+# them in place, in six ufunc calls through one half-state buffer.  Smaller
+# ones take two calls, a broadcast multiply into a fresh array of all four
+# products and one add, and that array grows with the view.  Per RY with 0-2
+# controls on a 2-vCPU x86-64 host, averaged over targets, the two-call form
+# took 0.56-0.77x the in-place time on sides of 2^5-2^8 amplitudes, 0.73-1.02x
+# on 2^9-2^10, 1.04-1.27x on 2^11, and up to 3.9x on 2^12, where its array
+# and numpy's iteration buffers reach glibc's 128 KiB mmap threshold.
+_IN_PLACE_MIN = 1 << 11
+
+# Entries kept by each of the two caches below: gate matrices by gate, and
+# pair-view indices by (n, target, controls).  A program with more distinct
+# gates or qubit patterns than this recomputes the least recently used.
+_CACHE_SIZE = 1024
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
+
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.setflags(write=False)
+    return matrix
+
+
 _FIXED_MATRICES = {
-    GateKind.PAULI_X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.PAULI_Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.PAULI_Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.HADAMARD: np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex),
+    kind: _read_only(np.array(rows, dtype=complex))
+    for kind, rows in (
+        (GateKind.PAULI_X, [[0, 1], [1, 0]]),
+        (GateKind.PAULI_Y, [[0, -1j], [1j, 0]]),
+        (GateKind.PAULI_Z, [[1, 0], [0, -1]]),
+        (GateKind.HADAMARD, [[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]]),
+    )
 }
 
 
+# Equal gates have equal matrices, so the cache cannot change a result.  Angles
+# of +0.0 and -0.0 compare equal and share an entry; the two matrices differ
+# at most in the signs of zeros, and both are the identity, which the
+# diagonal path of ``apply_kernel`` skips.
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def gate_matrix(gate: Gate) -> np.ndarray:
-    """2x2 unitary of a gate.
+    """2x2 unitary of a gate, cached and shared, so it is read-only.
 
     Conventions: RX(θ) = [[cos θ/2, -i sin θ/2], [-i sin θ/2, cos θ/2]],
     RY(θ) = [[cos θ/2, -sin θ/2], [sin θ/2, cos θ/2]],
@@ -101,17 +126,17 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     t = gate.angle
     if gate.kind is GateKind.RX:
         c, s = math.cos(t / 2), math.sin(t / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if gate.kind is GateKind.RY:
+        rows = [[c, -1j * s], [-1j * s, c]]
+    elif gate.kind is GateKind.RY:
         c, s = math.cos(t / 2), math.sin(t / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if gate.kind is GateKind.RZ:
-        return np.array(
-            [[cmath.exp(-0.5j * t), 0], [0, cmath.exp(0.5j * t)]], dtype=complex
-        )
-    if gate.kind is GateKind.PHASE:
-        return np.array([[1, 0], [0, cmath.exp(1j * t)]], dtype=complex)
-    raise ValueError(f"no matrix for gate {gate!r}")
+        rows = [[c, -s], [s, c]]
+    elif gate.kind is GateKind.RZ:
+        rows = [[cmath.exp(-0.5j * t), 0], [0, cmath.exp(0.5j * t)]]
+    elif gate.kind is GateKind.PHASE:
+        rows = [[1, 0], [0, cmath.exp(1j * t)]]
+    else:
+        raise ValueError(f"no matrix for gate {gate!r}")
+    return _read_only(np.array(rows, dtype=complex))
 
 
 @dataclass
@@ -178,6 +203,23 @@ def _check_qubits(n: int, qubits: tuple[int, ...], overlap: str) -> None:
         raise IndexOverlap(overlap)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _pair_index(n: int, target: int, controls: tuple[int, ...]):
+    """Index, axis order and half size of a gate's pair view.
+
+    ``state.tensor()[index].transpose(perm)`` holds every amplitude the gate
+    touches, with the target axis first; ``half`` is the size of either side.
+    The qubit checks run on a miss, and a failing one raises, so only valid
+    triples are cached.
+    """
+    _check_qubits(n, (target, *controls), f"target {target} and controls {controls} overlap")
+    index = [slice(None)] * n
+    for c in controls:
+        index[c] = _READS[1]
+    perm = (target, *(q for q in range(n) if q != target))
+    return tuple(index), perm, 1 << (n - 1 - len(controls))
+
+
 def apply_kernel(
     state: StateVector,
     matrix: np.ndarray,
@@ -187,44 +229,40 @@ def apply_kernel(
     """Apply a controlled 2x2 gate in place and return the state.
 
     Touches exactly the amplitude pairs that differ in the target bit and
-    have every control bit set to 1.
+    have every control bit set to 1.  ``matrix`` is only read, so the shared
+    read-only matrices of ``gate_matrix`` serve every call; the checked view
+    index comes from ``_pair_index``'s cache.
     """
-    controls = tuple(controls)
-    n = state.n
-    _check_qubits(n, (target, *controls), f"target {target} and controls {controls} overlap")
-    index = [slice(None)] * n
-    for c in controls:
-        index[c] = _READS[1]
-    tensor = state.tensor()
-    index[target] = _READS[0]
-    v0 = tensor[tuple(index)]
-    index[target] = _READS[1]
-    v1 = tensor[tuple(index)]
+    index, perm, half = _pair_index(state.n, target, tuple(controls))
+    pair = state.tensor()[index].transpose(perm)
     (m00, m01), (m10, m11) = matrix.tolist()
+    # Each product puts the factor first and writes to memory apart from its
+    # input, or, for a diagonal factor, scales its side in place: numpy's
+    # vector loop rounds ``m * a`` and ``a * m`` differently and falls back to
+    # a scalar loop, which rounds differently again, when an output is also
+    # an input or interleaves with one.  This was seen with numpy 2.4.6 on an
+    # x86-64 host with AVX-512; it is observed behaviour, not a numpy
+    # guarantee.  If the bit-exact pair-oracle test fails after a numpy or CPU
+    # change while the amplitudes agree to an ulp, suspect that change first.
     if m01 == 0 and m10 == 0:
-        if m00 != 1:
-            v0 *= m00
-        if m11 != 1:
-            v1 *= m11
+        for side, factor in ((pair[:1], m00), (pair[1:], m11)):
+            if factor != 1:
+                np.multiply(side, factor, out=side)
         return state
-    a0 = v0.copy()
+    tail = (1,) * (pair.ndim - 1)
     if m00 == 0 and m11 == 0:
-        np.copyto(v0, v1 if m01 == 1 else m01 * v1)
-        np.copyto(v1, a0 if m10 == 1 else m10 * a0)
-    elif v0.size < _IN_PLACE_MIN:
-        a1 = v1.copy()
-        v0[...] = m00 * a0 + m01 * a1
-        v1[...] = m10 * a0 + m11 * a1
+        if m01 == 1 and m10 == 1:
+            pair[...] = pair[::-1]
+        else:
+            pair[...] = np.multiply(matrix[:, ::-1].diagonal().reshape(2, *tail), pair[::-1])
+    elif half < _IN_PLACE_MIN:
+        # the sum of two terms does not depend on their order, so this is
+        # m00*a0 + m01*a1 and m10*a0 + m11*a1 bit for bit
+        prod = np.multiply(matrix.reshape(2, 2, *tail), pair)
+        np.add(prod[:, 0], prod[:, 1], out=pair)
     else:
-        # The same products and sums as above, bit for bit: each product puts
-        # the factor first and writes to memory apart from its input, because
-        # numpy's vector loop rounds ``m * a`` and ``a * m`` differently and
-        # falls back to a scalar loop, which rounds differently again, when
-        # an output is also an input or interleaves with one.  This was seen
-        # with numpy 2.4.6 on an x86-64 host with AVX-512; it is observed
-        # behaviour, not a numpy guarantee.  If the bit-exact pair-oracle test
-        # fails after a numpy or CPU change while the amplitudes agree to an
-        # ulp, suspect that change before this code.
+        v0, v1 = pair[:1], pair[1:]
+        a0 = v0.copy()
         a1 = m01 * v1
         np.multiply(m00, a0, out=v0)
         v0 += a1

@@ -91,6 +91,14 @@ class TestGateMatrices:
         rhs = np.exp(0.5j * lam) * gate_matrix(Gate(GateKind.RZ, lam))
         assert np.abs(lhs - rhs).max() < 1e-12
 
+    def test_returned_matrices_are_read_only(self):
+        for kind in ALL_KINDS:
+            gate = Gate(kind, 0.5) if kind in qvm.ir.PARAMETRIC_KINDS else Gate(kind)
+            with pytest.raises(ValueError):
+                gate_matrix(gate)[1, 1] = 5
+        state = apply_kernel(StateVector.zero(1), gate_matrix(Gate(GateKind.HADAMARD)), 0)
+        assert np.array_equal(state.amps, [SQRT1_2, SQRT1_2])
+
     @given(st.integers(0, 10**6))
     def test_every_gate_is_unitary_and_inverse_is_dagger(self, seed):
         gate = random_gate(np.random.default_rng(seed))
@@ -122,6 +130,18 @@ class TestApplyKernel:
         with pytest.raises(IndexOutOfRange):
             apply_kernel(state, x, 0, [5])
 
+    def test_view_cache_is_keyed_by_state_size(self):
+        x = gate_matrix(Gate(GateKind.PAULI_X))
+        apply_kernel(StateVector.zero(3), x, 2)
+        with pytest.raises(IndexOutOfRange):
+            apply_kernel(StateVector.zero(2), x, 2)
+
+    def test_overlap_raises_on_every_call(self):
+        x = gate_matrix(Gate(GateKind.PAULI_X))
+        for _ in range(2):
+            with pytest.raises(IndexOverlap):
+                apply_kernel(StateVector.zero(3), x, 1, [0, 1])
+
     def test_matches_dense_oracle_on_200_random_cases(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
@@ -137,11 +157,11 @@ class TestApplyKernel:
             assert np.abs(got.amps - expected).max() < 1e-10
 
     @pytest.mark.parametrize(
-        "low, high, max_controls, cases, in_place",
-        [(1, 8, 3, 300, False), (17, 17, 2, 18, True)],
-        ids=["two-copy", "in-place"],
+        "low, high, max_controls, cases, forms",
+        [(1, 8, 3, 300, {False}), (9, 14, 3, 60, {False, True}), (17, 17, 2, 18, {True})],
+        ids=["two-copy", "mid", "in-place"],
     )
-    def test_matches_pair_oracle_bit_for_bit(self, low, high, max_controls, cases, in_place):
+    def test_matches_pair_oracle_bit_for_bit(self, low, high, max_controls, cases, forms):
         # Bit-exactness rests on numpy's rounding (see apply_kernel); it was
         # verified with numpy 2.4.6 on an x86-64 host with AVX-512.
         rng = np.random.default_rng(2026)
@@ -164,21 +184,26 @@ class TestApplyKernel:
             lambda: gate_matrix(Gate(GateKind.HADAMARD)),
             unitary,
         ]
+        in_place = set()
         for case in range(cases):
             n = int(rng.integers(low, high + 1))
             target = int(rng.integers(n))
             others = [q for q in range(n) if q != target]
             rng.shuffle(others)
             controls = others[: rng.integers(0, min(max_controls, n - 1) + 1)]
-            if in_place:
-                assert 1 << (n - 1 - len(controls)) >= qvm.simulator._IN_PLACE_MIN
+            in_place.add(1 << (n - 1 - len(controls)) >= qvm.simulator._IN_PLACE_MIN)
             matrix = np.asarray(matrices[case % len(matrices)](), dtype=complex)
             state = random_state(rng, n)
             expected = pair_oracle(state.amps, n, matrix, target, controls)
             got = apply_kernel(state, matrix, target, controls)
             assert np.array_equal(got.amps, expected), (n, target, controls, matrix)
+        # the row's views lie below _IN_PLACE_MIN (False), from it on (True), or both
+        assert in_place == forms
 
-    @pytest.mark.parametrize("kind, bound", [(GateKind.HADAMARD, 1.5), (GateKind.PAULI_X, 1.1)])
+    @pytest.mark.parametrize(
+        "kind, bound",
+        [(GateKind.HADAMARD, 1.5), (GateKind.PAULI_X, 1.1), (GateKind.PAULI_Y, 1.5)],
+    )
     def test_uncontrolled_gate_allocates_at_most_bound_states(self, kind, bound):
         n = 16
         state_bytes = 16 << n
