@@ -5,7 +5,8 @@ and executed only when a measurement future or dump snapshot is first read.
 The bundled engine simulates up to roughly twenty qubits and is fully
 deterministic for a given seed.  Validation rejects a program that allocates
 more than ``ir.MAX_QUBITS`` (24) qubits with MalformedCode, before any state
-is allocated: a 24-qubit state alone takes 256 MiB.
+is allocated: a 24-qubit state alone takes 256 MiB.  It likewise rejects
+conditioned blocks nested more than ``ir.MAX_DEPTH`` (300) deep.
 """
 
 from . import errors

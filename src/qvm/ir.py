@@ -65,6 +65,10 @@ PARAMETRIC_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.PH
 # 16·2^24 B = 256 MiB, and a dense gate up to twice that again in temporaries.
 MAX_QUBITS = 24
 
+# Most conditioned blocks a program may nest, checked in ``QuantumCode.validate``:
+# the JSON encoder recurses about twice per level; tests/test_serialize.py needs 300.
+MAX_DEPTH = 300
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -145,25 +149,87 @@ class QuantumCode:
         up to that point in program order, so a gate can never run before
         its qubit exists.
         """
-        state = _ValidationState()
-        _validate_block(self.instructions, state, in_branch=False)
-        if state.allocated != self.num_qubits:
+        allocated = 0
+        futures: set[int] = set()
+        dumps: set[int] = set()
+        blocks = [iter(self.instructions)]
+        while blocks:
+            for ins in blocks[-1]:
+                if isinstance(ins, Alloc):
+                    if len(blocks) > 1:
+                        raise MalformedCode("allocation inside a conditioned block")
+                    if not isinstance(ins.count, int) or ins.count < 1:
+                        raise MalformedCode(f"allocation count must be >= 1, got {ins.count!r}")
+                    allocated += ins.count
+                    if allocated > MAX_QUBITS:
+                        raise MalformedCode(
+                            f"program allocates {allocated} qubits, more than the limit of {MAX_QUBITS}"
+                        )
+                elif isinstance(ins, GateApp):
+                    if not isinstance(ins.gate, Gate):
+                        raise MalformedCode("gate application without a gate")
+                    _check_indices((ins.target, *ins.controls), allocated, "gate")
+                elif isinstance(ins, Measure):
+                    if len(blocks) > 1:
+                        raise MalformedCode("measurement inside a conditioned block")
+                    _check_indices(ins.qubits, allocated, "measure")
+                    if not ins.qubits:
+                        raise MalformedCode("measure covers no qubits")
+                    if ins.future in futures:
+                        raise MalformedCode(f"future id {ins.future} produced twice")
+                    futures.add(ins.future)
+                elif isinstance(ins, Dump):
+                    if len(blocks) > 1:
+                        raise MalformedCode("dump inside a conditioned block")
+                    _check_indices(ins.qubits, allocated, "dump")
+                    if not ins.qubits:
+                        raise MalformedCode("dump covers no qubits")
+                    if ins.dump in dumps:
+                        raise MalformedCode(f"dump id {ins.dump} produced twice")
+                    dumps.add(ins.dump)
+                elif isinstance(ins, Branch):
+                    if ins.condition.future not in futures:
+                        raise MalformedCode(
+                            f"condition on future {ins.condition.future} with no prior measure"
+                        )
+                    if ins.condition.equals < 0:
+                        raise MalformedCode("condition literal must be non-negative")
+                    if len(blocks) > MAX_DEPTH:
+                        raise MalformedCode(f"conditioned blocks nested too deeply (limit {MAX_DEPTH})")
+                    blocks.append(iter(ins.body))
+                    break
+                else:
+                    raise MalformedCode(f"unknown instruction {ins!r}")
+            else:
+                blocks.pop()
+        if allocated != self.num_qubits:
             raise MalformedCode(
-                f"program allocates {state.allocated} qubits, header says {self.num_qubits}"
+                f"program allocates {allocated} qubits, header says {self.num_qubits}"
             )
         # lengths first, so a hostile header count builds no huge range
-        futures, dumps = state.futures_seen, state.dumps_seen
         if len(futures) != self.num_futures or futures != set(range(self.num_futures)):
             raise MalformedCode("future ids are not exactly 0..num_futures-1")
         if len(dumps) != self.num_dumps or dumps != set(range(self.num_dumps)):
             raise MalformedCode("dump ids are not exactly 0..num_dumps-1")
 
-
-class _ValidationState:
-    def __init__(self):
-        self.allocated = 0
-        self.futures_seen: set[int] = set()
-        self.dumps_seen: set[int] = set()
+    def __eq__(self, other):
+        # a loop, unlike the generated method, so programs MAX_DEPTH deep compare
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        header = (self.num_qubits, self.num_futures, self.num_dumps)
+        if header != (other.num_qubits, other.num_futures, other.num_dumps):
+            return False
+        pairs = [(self.instructions, other.instructions)]
+        while pairs:
+            mine, theirs = pairs.pop()
+            if len(mine) != len(theirs):
+                return False
+            for a, b in zip(mine, theirs):
+                if a.__class__ is Branch is b.__class__ and a.condition == b.condition:
+                    pairs.append((a.body, b.body))
+                elif not a == b:  # ``!=`` costs a further ``__ne__`` lookup
+                    return False
+        return True
 
 
 def _check_indices(qubits: Sequence[int], allocated: int, what: str) -> None:
@@ -172,52 +238,6 @@ def _check_indices(qubits: Sequence[int], allocated: int, what: str) -> None:
             raise MalformedCode(f"{what} references qubit {q!r}, only {allocated} allocated")
     if len(set(qubits)) != len(qubits):
         raise MalformedCode(f"{what} lists a qubit more than once")
-
-
-def _validate_block(instructions, state: _ValidationState, in_branch: bool) -> None:
-    for ins in instructions:
-        if isinstance(ins, Alloc):
-            if in_branch:
-                raise MalformedCode("allocation inside a conditioned block")
-            if not isinstance(ins.count, int) or ins.count < 1:
-                raise MalformedCode(f"allocation count must be >= 1, got {ins.count!r}")
-            state.allocated += ins.count
-            if state.allocated > MAX_QUBITS:
-                raise MalformedCode(
-                    f"program allocates {state.allocated} qubits, more than the limit of {MAX_QUBITS}"
-                )
-        elif isinstance(ins, GateApp):
-            if not isinstance(ins.gate, Gate):
-                raise MalformedCode("gate application without a gate")
-            _check_indices((ins.target, *ins.controls), state.allocated, "gate")
-        elif isinstance(ins, Measure):
-            if in_branch:
-                raise MalformedCode("measurement inside a conditioned block")
-            _check_indices(ins.qubits, state.allocated, "measure")
-            if not ins.qubits:
-                raise MalformedCode("measure covers no qubits")
-            if ins.future in state.futures_seen:
-                raise MalformedCode(f"future id {ins.future} produced twice")
-            state.futures_seen.add(ins.future)
-        elif isinstance(ins, Dump):
-            if in_branch:
-                raise MalformedCode("dump inside a conditioned block")
-            _check_indices(ins.qubits, state.allocated, "dump")
-            if not ins.qubits:
-                raise MalformedCode("dump covers no qubits")
-            if ins.dump in state.dumps_seen:
-                raise MalformedCode(f"dump id {ins.dump} produced twice")
-            state.dumps_seen.add(ins.dump)
-        elif isinstance(ins, Branch):
-            if ins.condition.future not in state.futures_seen:
-                raise MalformedCode(
-                    f"condition on future {ins.condition.future} with no prior measure"
-                )
-            if ins.condition.equals < 0:
-                raise MalformedCode("condition literal must be non-negative")
-            _validate_block(ins.body, state, in_branch=True)
-        else:
-            raise MalformedCode(f"unknown instruction {ins!r}")
 
 
 class ProcessState(Enum):

@@ -65,10 +65,8 @@ def phase(lam: float, q: QubitHandle) -> QubitHandle:
 
 def cnot(control: QubitHandle, target: QubitHandle) -> tuple[QubitHandle, QubitHandle]:
     """Flip ``target`` where ``control`` is |1⟩."""
-    process = control.process
-    process.ctrl_begin((control,))
-    x(target)
-    process.ctrl_end()
+    with ctrl(control):
+        x(target)
     return control, target
 
 

@@ -50,34 +50,29 @@ def _encode_instruction(ins: Instruction) -> dict[str, Any]:
         return {"op": "measure", "qubits": list(ins.qubits), "future": ins.future}
     if isinstance(ins, Dump):
         return {"op": "dump", "qubits": list(ins.qubits), "dump": ins.dump}
-    if isinstance(ins, Branch):
-        return {
-            "op": "branch",
-            "future": ins.condition.future,
-            "equals": ins.condition.equals,
-            "body": [_encode_instruction(i) for i in ins.body],
-        }
-    raise MalformedCode(f"unknown instruction {ins!r}")
+    # ``serialize`` validated the program, so anything else is a Branch
+    return {
+        "op": "branch",
+        "future": ins.condition.future,
+        "equals": ins.condition.equals,
+        "body": [_encode_instruction(i) for i in ins.body],
+    }
 
 
 def serialize(code: QuantumCode) -> bytes:
     """Encode a validated program as UTF-8 JSON.
 
-    A program nested deeper than the validator or encoder can recurse raises
-    MalformedCode, as it would in ``deserialize``.
+    Validation caps nesting at ``ir.MAX_DEPTH``, which bounds the encoder's recursion.
     """
-    try:
-        code.validate()
-        doc = {
-            "version": FORMAT_VERSION,
-            "num_qubits": code.num_qubits,
-            "num_futures": code.num_futures,
-            "num_dumps": code.num_dumps,
-            "instructions": [_encode_instruction(i) for i in code.instructions],
-        }
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-    except RecursionError:
-        raise MalformedCode("program is nested too deeply") from None
+    code.validate()
+    doc = {
+        "version": FORMAT_VERSION,
+        "num_qubits": code.num_qubits,
+        "num_futures": code.num_futures,
+        "num_dumps": code.num_dumps,
+        "instructions": [_encode_instruction(i) for i in code.instructions],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
 def _need(obj: dict, key: str, kinds) -> Any:
@@ -138,8 +133,8 @@ def _decode_instruction(obj: Any) -> Instruction:
 def deserialize(data: bytes | str) -> QuantumCode:
     """Parse and validate a program document; raises MalformedCode on any defect.
 
-    A document nested deeper than the parser, decoder or validator can recurse
-    is a defect too.
+    A document nested deeper than the parser or decoder can recurse is a
+    defect too; past ``ir.MAX_DEPTH`` conditioned blocks, validation rejects it.
     """
     try:
         return _decode_document(data)

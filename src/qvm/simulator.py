@@ -36,11 +36,7 @@ most S (the squared magnitudes, then the kept slice); and a dump at most
 2·S (a copy of the groups where their layout is not a view of the state,
 and one buffer for projections and residuals).
 
-The interpreter ``_run_block`` is a module function, not a closure inside
-``execute``: a nested function that calls itself holds a reference to its own
-cell, and that cycle would keep the run's state vector alive after
-``execute`` returns, until the cyclic garbage collector happens to run.  It
-finds the kernels and ``gate_matrix`` as module globals at call time.
+``execute`` loops over a stack of open blocks, with no recursion and no closure.
 
 Execution is a pure function of ``(code, seed)``: one xoshiro256** stream per
 run, advanced by exactly one draw per measurement, with the outcome chosen
@@ -53,7 +49,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -355,33 +351,6 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     return DumpData(qubits, basis_states)
 
 
-def _run_block(
-    instructions: Iterable,
-    state: StateVector,
-    rng: Xoshiro256StarStar,
-    futures: dict[int, int],
-    dumps: dict[int, DumpData],
-) -> None:
-    """Run ``instructions`` in order on ``state``, recording futures and dumps."""
-    for ins in instructions:
-        if isinstance(ins, Alloc):
-            state.extend(ins.count)
-        elif isinstance(ins, GateApp):
-            apply_kernel(state, gate_matrix(ins.gate), ins.target, ins.controls)
-        elif isinstance(ins, Measure):
-            outcome, _ = measure_kernel(state, ins.qubits, rng)
-            futures[ins.future] = outcome
-        elif isinstance(ins, Dump):
-            dumps[ins.dump] = extract_dump(state, ins.qubits)
-        elif isinstance(ins, Branch):
-            if futures[ins.condition.future] == ins.condition.equals:
-                _run_block(ins.body, state, rng, futures, dumps)
-            continue  # no state change to re-check
-        norm = state.norm_sq()
-        if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
-            raise EngineFailure(f"state norm drifted by {norm - 1.0:.3g} to {norm} after {ins!r}")
-
-
 def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
     """Interpret a program deterministically and collect all results.
 
@@ -392,7 +361,29 @@ def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
     drifts from 1 by more than 1e-9 raises EngineFailure.
     """
     code.validate()
+    state, rng = StateVector.zero(0), Xoshiro256StarStar(seed)
     futures: dict[int, int] = {}
     dumps: dict[int, DumpData] = {}
-    _run_block(code.instructions, StateVector.zero(0), Xoshiro256StarStar(seed), futures, dumps)
+    blocks = [iter(code.instructions)]
+    while blocks:
+        for ins in blocks[-1]:
+            if isinstance(ins, Alloc):
+                state.extend(ins.count)
+            elif isinstance(ins, GateApp):
+                apply_kernel(state, gate_matrix(ins.gate), ins.target, ins.controls)
+            elif isinstance(ins, Measure):
+                outcome, _ = measure_kernel(state, ins.qubits, rng)
+                futures[ins.future] = outcome
+            elif isinstance(ins, Dump):
+                dumps[ins.dump] = extract_dump(state, ins.qubits)
+            elif isinstance(ins, Branch):
+                if futures[ins.condition.future] == ins.condition.equals:
+                    blocks.append(iter(ins.body))
+                    break
+                continue  # no state change to re-check
+            norm = state.norm_sq()
+            if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
+                raise EngineFailure(f"state norm drifted by {norm - 1.0:.3g} to {norm} after {ins!r}")
+        else:
+            blocks.pop()
     return ExecutionResult(futures=futures, dumps=dumps)

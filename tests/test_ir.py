@@ -1,6 +1,7 @@
 """Builder semantics: handles, scopes, rewrites, and the execution lifecycle."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -585,3 +586,102 @@ class TestInvariantProperties:
         f.value
         assert not a.valid and not b.valid
         snap.data  # still delivered from the cached execution
+
+
+MEASURED = (Alloc(1), Measure((0,), 0))  # one qubit, future 0 measured
+ON_0 = qvm.Condition(0, 0)
+
+
+def in_branch(*body):
+    """A valid one-qubit program with ``body`` inside a branch on future 0."""
+    return qvm.QuantumCode(1, (*MEASURED, qvm.Branch(ON_0, body)), num_futures=1)
+
+
+VALIDATE_RULES = {
+    "alloc-in-branch": (in_branch(Alloc(1)), "allocation inside a conditioned block"),
+    "alloc-two-branches-deep": (
+        in_branch(qvm.Branch(ON_0, (Alloc(1),))),
+        "allocation inside a conditioned block",
+    ),
+    "alloc-zero": (qvm.QuantumCode(0, (Alloc(0),)), "allocation count must be >= 1, got 0"),
+    "alloc-over-limit": (
+        qvm.QuantumCode(25, (Alloc(20), Alloc(5))),
+        "program allocates 25 qubits, more than the limit of 24",
+    ),
+    "gate-without-gate": (
+        qvm.QuantumCode(1, (Alloc(1), GateApp("x", 0))),
+        "gate application without a gate",
+    ),
+    "gate-out-of-range": (
+        qvm.QuantumCode(2, (Alloc(2), GateApp(GATE_X, 2))),
+        "gate references qubit 2, only 2 allocated",
+    ),
+    "gate-negative": (
+        qvm.QuantumCode(2, (Alloc(2), GateApp(GATE_X, -1))),
+        "gate references qubit -1, only 2 allocated",
+    ),
+    "gate-bool-control": (
+        qvm.QuantumCode(2, (Alloc(2), GateApp(GATE_X, 0, (True,)))),
+        "gate references qubit True, only 2 allocated",
+    ),
+    "gate-target-is-control": (
+        qvm.QuantumCode(2, (Alloc(2), GateApp(GATE_X, 1, (1,)))),
+        "gate lists a qubit more than once",
+    ),
+    "gate-in-branch-on-later-qubit": (
+        qvm.QuantumCode(
+            2, (*MEASURED, qvm.Branch(ON_0, (GateApp(GATE_X, 1),)), Alloc(1)), num_futures=1
+        ),
+        "gate references qubit 1, only 1 allocated",
+    ),
+    "measure-in-branch": (in_branch(Measure((0,), 1)), "measurement inside a conditioned block"),
+    "measure-no-qubits": (
+        qvm.QuantumCode(1, (Alloc(1), Measure((), 0)), num_futures=1),
+        "measure covers no qubits",
+    ),
+    "measure-repeated-id": (
+        qvm.QuantumCode(1, (*MEASURED, Measure((0,), 0)), num_futures=1),
+        "future id 0 produced twice",
+    ),
+    "dump-in-branch": (in_branch(qvm.Dump((0,), 0)), "dump inside a conditioned block"),
+    "dump-no-qubits": (
+        qvm.QuantumCode(1, (Alloc(1), qvm.Dump((), 0)), num_dumps=1),
+        "dump covers no qubits",
+    ),
+    "dump-repeated-id": (
+        qvm.QuantumCode(1, (Alloc(1), qvm.Dump((0,), 0), qvm.Dump((0,), 0)), num_dumps=1),
+        "dump id 0 produced twice",
+    ),
+    "condition-on-unmeasured-future": (
+        qvm.QuantumCode(1, (*MEASURED, qvm.Branch(qvm.Condition(1, 0), ())), num_futures=1),
+        "condition on future 1 with no prior measure",
+    ),
+    "condition-negative-literal": (
+        qvm.QuantumCode(1, (*MEASURED, qvm.Branch(qvm.Condition(0, -1), ())), num_futures=1),
+        "condition literal must be non-negative",
+    ),
+    "unknown-instruction": (
+        qvm.QuantumCode(1, (Alloc(1), "reset 0")),
+        "unknown instruction 'reset 0'",
+    ),
+    "header-qubits": (
+        qvm.QuantumCode(2, (Alloc(1),)),
+        "program allocates 1 qubits, header says 2",
+    ),
+    "header-futures": (
+        qvm.QuantumCode(1, MEASURED, num_futures=2),
+        "future ids are not exactly 0..num_futures-1",
+    ),
+    "header-dumps": (
+        qvm.QuantumCode(1, (Alloc(1), qvm.Dump((0,), 1)), num_dumps=1),
+        "dump ids are not exactly 0..num_dumps-1",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "code, message", list(VALIDATE_RULES.values()), ids=list(VALIDATE_RULES)
+)
+def test_validate_rejects_with_its_message(code, message):
+    with pytest.raises(qvm.MalformedCode, match=f"^{re.escape(message)}$"):
+        code.validate()

@@ -88,6 +88,16 @@ class TestSwap:
         assert abs(state.amps[0b01] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("routine", [qvm.cnot, qvm.swap])
+def test_failed_controlled_flip_leaves_no_scope_open(routine):
+    p = new_process()
+    (a,) = p.alloc(1)
+    with pytest.raises(qvm.ControlTargetOverlap):
+        routine(a, a)
+    assert p._scopes == []
+    assert p.measure(a).value == 0
+
+
 class TestQft:
     def test_uniform_superposition_from_zero(self):
         for n in (1, 2, 3, 4):

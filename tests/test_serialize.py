@@ -177,9 +177,9 @@ def test_round_trip_identity_on_random_programs(code):
     assert deserialize(serialize(code)) == code
 
 
-def nested_code(depth):
-    """A program whose X gate sits ``depth`` branches deep, built without the builder."""
-    body = (qvm.GateApp(Gate(GateKind.PAULI_X), 0),)
+def nested_code(depth, gate=Gate(GateKind.PAULI_X)):
+    """A program whose ``gate`` sits ``depth`` branches deep, built without the builder."""
+    body = (qvm.GateApp(gate, 0),)
     for _ in range(depth):
         body = (qvm.Branch(qvm.Condition(0, 0), body),)
     return qvm.QuantumCode(1, (qvm.Alloc(1), qvm.Measure((0,), 0)) + body, num_futures=1)
@@ -191,6 +191,68 @@ def test_deep_nesting_is_malformed_on_encode_and_shallower_round_trips():
     # compared as bytes: ``==`` on 300 nested dataclasses itself recurses too deeply
     data = serialize(nested_code(300))
     assert serialize(deserialize(data)) == data
+
+
+def measured_nested_code(depth, first):
+    """``nested_code`` with qubit 0 prepared as ``first`` and measured again last.
+
+    The branches run iff the first measurement reads 0, so the second reads 1
+    whether they run (the innermost X flips the qubit) or not (it stays 1).
+    """
+    alloc, measure, branch = nested_code(depth).instructions
+    prepare = (qvm.GateApp(Gate(GateKind.PAULI_X), 0),) * first
+    return qvm.QuantumCode(
+        1, (alloc, *prepare, measure, branch, qvm.Measure((0,), 1)), num_futures=2
+    )
+
+
+def called_from(frames, fn):
+    """``fn()`` called from ``frames`` more Python frames than the caller's."""
+    return fn() if frames == 0 else called_from(frames - 1, fn)
+
+
+def nested_document(depth):
+    """The wire form of ``nested_code(depth)``, written as text."""
+    head = (
+        '{"version": 1, "num_qubits": 1, "num_futures": 1, "num_dumps": 0, "instructions": ['
+        '{"op": "alloc", "count": 1}, {"op": "measure", "qubits": [0], "future": 0}, '
+    )
+    gate = '{"op": "gate", "kind": "x", "target": 0, "controls": []}'
+    branch = '{"op": "branch", "future": 0, "equals": 0, "body": ['
+    return head + branch * depth + gate + "]}" * depth + "]}"
+
+
+@pytest.mark.parametrize("frames", [0, 200])
+def test_every_walker_accepts_max_depth(frames):
+    depth = qvm.ir.MAX_DEPTH
+    code = nested_code(depth)
+
+    def check():
+        code.validate()
+        for first in (0, 1):
+            result = qvm.execute(measured_nested_code(depth, first), seed=3)
+            assert result.futures == {0: first, 1: 1}
+        assert code == nested_code(depth)
+        assert code != nested_code(depth, Gate(GateKind.PAULI_Z))
+        assert deserialize(serialize(code)) == code
+        assert deserialize(nested_document(depth)) == code
+
+    called_from(frames, check)
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda depth: nested_code(depth).validate(),
+        lambda depth: qvm.execute(measured_nested_code(depth, 0)),
+        lambda depth: serialize(nested_code(depth)),
+        lambda depth: deserialize(nested_document(depth)),
+    ],
+    ids=["validate", "execute", "serialize", "deserialize"],
+)
+def test_every_walker_rejects_one_level_more(walk):
+    with pytest.raises(MalformedCode, match="nested too deeply"):
+        walk(qvm.ir.MAX_DEPTH + 1)
 
 
 json_values = st.recursive(
