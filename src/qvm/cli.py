@@ -13,21 +13,12 @@ import functools
 import json
 import sys
 
-from .errors import (
-    BadFormat,
-    EngineFailure,
-    EntangledSelection,
-    MalformedCode,
-    QvmError,
-    WrongArity,
-)
+from .errors import EngineFailure, EntangledSelection, MalformedCode, QvmError, WrongArity
 from .examples import EXAMPLES
 from .ir import QuantumCode, new_process
 from .render import bloch_coords, bloch_svg, parse_format, show
 from .serialize import deserialize, serialize
 from .simulator import ExecutionResult, execute
-
-_MASK64 = (1 << 64) - 1
 
 
 def _build_example(name: str) -> QuantumCode:
@@ -60,7 +51,7 @@ def _run_code(code: QuantumCode, args: argparse.Namespace) -> int:
     if args.shots < 1:
         raise ValueError("shots must be >= 1")
     spec = parse_format(args.format or "")
-    results = [execute(code, (args.seed + shot) & _MASK64) for shot in range(args.shots)]
+    results = [execute(code, args.seed + shot) for shot in range(args.shots)]
     if args.output == "json":
         for result in results:
             print(json.dumps(_result_json(result)))
@@ -105,7 +96,7 @@ def _cmd_emit_ir(args: argparse.Namespace) -> int:
 
 
 def _cmd_bloch(args: argparse.Namespace) -> int:
-    result = execute(_build_example(args.example), args.seed & _MASK64)
+    result = execute(_build_example(args.example), args.seed)
     if not result.dumps:
         raise WrongArity(f"example {args.example!r} produces no snapshot")
     data = result.dumps[min(result.dumps)]
@@ -175,14 +166,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (WrongArity, EntangledSelection) as exc:
-        # state-inspection failures are usage errors, not engine crashes
+    except EntangledSelection as exc:
+        # an EngineFailure, but a failed state inspection is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EngineFailure as exc:
         print(f"engine failure: {exc}", file=sys.stderr)
         return 2
-    except (MalformedCode, BadFormat, QvmError, OSError, ValueError) as exc:
+    except (QvmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

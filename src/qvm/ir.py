@@ -11,7 +11,8 @@ is invalid and every attempt to extend the program raises
 Scope rules enforced while recording:
 
 * scopes nest: an ``*_end`` closes only the innermost open scope, and a
-  conditioned-block body must close every scope it opens;
+  conditioned-block body, like a ``with`` body, must close exactly the
+  scopes it opens;
 * allocation, measurement, and dumps are rejected inside any open control or
   adjoint scope and inside conditioned-block bodies; an around's inner
   section may measure and allocate;
@@ -19,7 +20,8 @@ Scope rules enforced while recording:
   open control scopes, outermost first;
 * adjoint scopes buffer gates and, on close, append the reversed sequence
   with each gate inverted, so nested adjoints cancel pairwise;
-* a failing ``around_end`` or ``with`` scope body leaves no scope open.
+* a failing ``around_end``, ``with`` body or conditioned-block body leaves
+  no scope open.
 """
 
 from __future__ import annotations
@@ -247,11 +249,20 @@ class ProcessState(Enum):
 
 @dataclass(slots=True)
 class _Scope:
-    """One open scope; ``kind`` is "control", "adjoint", "around" or "branch"."""
+    """One scope frame, and what the open scopes mean while it is on top.
+
+    ``kind`` is "root", "control", "adjoint", "around" or "branch".  The
+    derived fields are set once, when the frame opens: ``controls`` holds
+    every control in force, outermost first; ``sink`` is where gates go, the
+    frame's own buffer for an adjoint or a branch and otherwise the enclosing
+    frame's sink; ``guard`` is the innermost kind other than "around", or
+    "root", and decides what may be recorded.
+    """
 
     kind: str
-    controls: tuple[int, ...] = ()  # control
-    buffer: list[Instruction] | None = None  # adjoint and branch: where gates go
+    controls: tuple[int, ...]
+    sink: list[Instruction]
+    guard: str
     outer: Callable[[], None] | None = None  # around
 
 
@@ -264,61 +275,49 @@ class QubitHandle:
 
     process_id: int
     index: int
-    _process: "Process" = field(repr=False, compare=False)
-
-    @property
-    def process(self) -> "Process":
-        return self._process
+    process: "Process" = field(repr=False, compare=False)
 
     @property
     def valid(self) -> bool:
-        return self._process.state is ProcessState.BUILDING
+        return self.process.state is ProcessState.BUILDING
 
 
 @dataclass(frozen=True, eq=False)
 class FutureValue:
     """Promise for a measurement outcome; reading it executes the program."""
 
-    _process: "Process" = field(repr=False)
+    process: "Process" = field(repr=False)
     future_id: int = 0
 
     @property
-    def process(self) -> "Process":
-        return self._process
-
-    @property
     def process_id(self) -> int:
-        return self._process.id
+        return self.process.id
 
     @property
     def cached(self) -> int | None:
-        result = self._process.result
+        result = self.process.result
         return None if result is None else result.futures[self.future_id]
 
     @property
     def value(self) -> int:
-        return self._process.execute().futures[self.future_id]
+        return self.process.execute().futures[self.future_id]
 
 
 @dataclass(frozen=True, eq=False)
 class DumpSnapshot:
     """Promise for a state snapshot; reading it executes the program."""
 
-    _process: "Process" = field(repr=False)
+    process: "Process" = field(repr=False)
     dump_id: int = 0
 
     @property
-    def process(self) -> "Process":
-        return self._process
-
-    @property
     def cached(self) -> "DumpData | None":
-        result = self._process.result
+        result = self.process.result
         return None if result is None else result.dumps[self.dump_id]
 
     @property
     def data(self) -> "DumpData":
-        return self._process.execute().dumps[self.dump_id]
+        return self.process.execute().dumps[self.dump_id]
 
 
 class Process:
@@ -341,6 +340,7 @@ class Process:
         self.num_futures = 0
         self.num_dumps = 0
         self._instructions: list[Instruction] = []
+        self._root = _Scope("root", (), self._instructions, "root")
         self._scopes: list[_Scope] = []
         self._result: "ExecutionResult | None" = None
 
@@ -377,18 +377,14 @@ class Process:
         if not isinstance(handle, QubitHandle) or handle.process is not self:
             raise InvalidHandle(f"{handle!r} does not belong to process {self.id}")
 
-    def _active_controls(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for scope in self._scopes:
-            out.extend(scope.controls)
-        return tuple(out)
+    def _top(self) -> _Scope:
+        return self._scopes[-1] if self._scopes else self._root
 
-    def _emit(self, ins: Instruction) -> None:
-        for scope in reversed(self._scopes):
-            if scope.buffer is not None:
-                scope.buffer.append(ins)
-                return
-        self._instructions.append(ins)
+    def _open(self, kind: str, controls: tuple[int, ...] = (), buffer=None, outer=None) -> None:
+        top = self._top()
+        sink = top.sink if buffer is None else buffer
+        guard = top.guard if kind == "around" else kind
+        self._scopes.append(_Scope(kind, top.controls + controls, sink, guard, outer))
 
     def _close(self, kind: str) -> _Scope:
         if not self._scopes or self._scopes[-1].kind != kind:
@@ -396,11 +392,11 @@ class Process:
         return self._scopes.pop()
 
     def _require_no_scopes(self, what: str) -> None:
-        for scope in reversed(self._scopes):
-            if scope.kind == "branch":
-                raise ScopeViolation(f"{what} is not allowed inside a conditioned block")
-            if scope.kind != "around":
-                raise ScopeViolation(f"{what} is not allowed inside an open {scope.kind} scope")
+        guard = self._top().guard
+        if guard == "branch":
+            raise ScopeViolation(f"{what} is not allowed inside a conditioned block")
+        if guard != "root":
+            raise ScopeViolation(f"{what} is not allowed inside an open {guard} scope")
 
     # -- builder operations -----------------------------------------------
 
@@ -421,12 +417,12 @@ class Process:
         self._require_own(target)
         if not isinstance(gate, Gate):
             raise TypeError(f"expected a Gate, got {gate!r}")
-        controls = self._active_controls()
-        if target.index in controls:
+        top = self._top()
+        if target.index in top.controls:
             raise ControlTargetOverlap(
                 f"qubit {target.index} is an active control and cannot be a target"
             )
-        self._emit(GateApp(gate, target.index, controls))
+        top.sink.append(GateApp(gate, target.index, top.controls))
         return target
 
     def ctrl_begin(self, controls: Sequence[QubitHandle]) -> None:
@@ -438,13 +434,13 @@ class Process:
         for handle in handles:
             self._require_own(handle)
         indices = tuple(h.index for h in handles)
-        active = set(self._active_controls())
+        active = self._top().controls
         seen: set[int] = set()
         for idx in indices:
             if idx in seen or idx in active:
                 raise DuplicateControl(f"qubit {idx} is already an active control")
             seen.add(idx)
-        self._scopes.append(_Scope("control", controls=indices))
+        self._open("control", controls=indices)
 
     def ctrl_end(self) -> None:
         self._close("control")
@@ -452,16 +448,18 @@ class Process:
     def adj_begin(self) -> None:
         """Open an adjoint scope: gates buffer until ``adj_end`` emits their inverse."""
         self._require_building()
-        self._scopes.append(_Scope("adjoint", buffer=[]))
+        self._open("adjoint", buffer=[])
 
     def adj_end(self) -> None:
-        for ins in reversed(self._close("adjoint").buffer):
-            self._emit(GateApp(ins.gate.inverse(), ins.target, ins.controls))
+        buffer = self._close("adjoint").sink
+        self._top().sink.extend(
+            GateApp(ins.gate.inverse(), ins.target, ins.controls) for ins in reversed(buffer)
+        )
 
     def around_begin(self, outer: Callable[[], None]) -> None:
         """Emit ``outer`` now and remember it; ``around_end`` emits its adjoint."""
         self._require_building()
-        self._scopes.append(_Scope("around", outer=outer))
+        self._open("around", outer=outer)
         outer()
 
     def around_end(self) -> None:
@@ -514,18 +512,14 @@ class Process:
             raise UnknownFuture(f"{future!r} was not produced by process {self.id}")
         if equals < 0:
             raise ValueError("condition literal must be non-negative")
-        if any(scope.kind in ("control", "adjoint") for scope in self._scopes):
+        if self._top().guard in ("control", "adjoint"):
             raise ScopeViolation("conditioned blocks cannot open inside control/adjoint scopes")
-        depth = len(self._scopes)
-        frame = _Scope("branch", buffer=[])
-        self._scopes.append(frame)
-        try:
+        buffer: list[Instruction] = []
+        with _scope(
+            self, lambda: self._open("branch", buffer=buffer), lambda: self._close("branch")
+        ):
             body()
-            if len(self._scopes) > depth + 1:
-                raise ScopeViolation("conditioned block left scopes open")
-        finally:
-            del self._scopes[depth:]
-        self._emit(Branch(Condition(future.future_id, equals), tuple(frame.buffer)))
+        self._top().sink.append(Branch(Condition(future.future_id, equals), tuple(buffer)))
 
     # -- execution ---------------------------------------------------------
 

@@ -68,6 +68,41 @@ def assembled_unitary(build, n: int) -> np.ndarray:
     return np.column_stack(columns)
 
 
+def expand(tree, controls=()) -> list[qvm.GateApp]:
+    """The gates a scope tree records, from the plain recursive meaning of scopes.
+
+    A tree is a sequence of nodes: ``("gate", gate, target)``,
+    ``("ctrl", qubits, body)``, ``("adj", body)`` or ``("around", outer, inner)``.
+    A gate gets the controls passed in, a ``ctrl`` adds its qubits to them, an
+    ``adj`` gives the reversed inverses of its body, and an ``around`` gives
+    ``outer``, ``inner``, then the reversed inverses of ``outer``.  Nodes are
+    visited in recording order, and the first target that is also a control
+    raises ``ControlTargetOverlap``, the first repeated control ``DuplicateControl``.
+    """
+
+    def inverted(gates):
+        return [qvm.GateApp(g.gate.inverse(), g.target, g.controls) for g in reversed(gates)]
+
+    out: list[qvm.GateApp] = []
+    for node in tree:
+        if node[0] == "gate":
+            _, gate, target = node
+            if target in controls:
+                raise qvm.ControlTargetOverlap(f"qubit {target} is a control")
+            out.append(qvm.GateApp(gate, target, tuple(controls)))
+        elif node[0] == "ctrl":
+            _, qubits, body = node
+            if len(set(controls) | set(qubits)) != len(controls) + len(qubits):
+                raise qvm.DuplicateControl(f"controls {qubits} repeat one of {controls}")
+            out += expand(body, (*controls, *qubits))
+        elif node[0] == "adj":
+            out += inverted(expand(node[1], controls))
+        else:
+            outer = expand(node[1], controls)
+            out += outer + expand(node[2], controls) + inverted(outer)
+    return out
+
+
 def dump_vector(data: qvm.DumpData) -> np.ndarray:
     out = np.zeros(1 << len(data.qubits), dtype=complex)
     for basis, amp in data.basis_states:

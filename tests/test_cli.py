@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qvm import EngineFailure, EntangledSelection, MalformedCode
 from qvm.cli import main
 from qvm.examples import EXAMPLES
 
@@ -88,6 +89,17 @@ class TestRun:
         second = run_cli(capsys, "run", "bell", "--shots", "1", "--seed", "3")
         assert first == second
 
+    def test_seeds_wrap_modulo_two_to_the_64(self, capsys):
+        def shots(seed, count):
+            flags = ("--output", "json", "--seed", str(seed), "--shots", str(count))
+            status, out, _ = run_cli(capsys, "run", "teleport", *flags)
+            assert status == 0
+            return out.splitlines()
+
+        assert len(set(shots(0, 8))) > 1  # the output depends on the seed
+        assert shots(-1, 4) == shots(2**64 - 1, 4)
+        assert shots(2**64 - 1, 2)[1] == shots(0, 1)[0]
+
     def test_format_flag(self, capsys):
         status, out, _ = run_cli(capsys, "run", "around-bell", "--format", "i1:i1")
         assert status == 0
@@ -145,6 +157,23 @@ class TestRun:
             if ":" in line and "⟩" not in line
         ]
         assert sum(counts) == 77
+
+
+@pytest.mark.parametrize(
+    "error, status, prefix",
+    [
+        (EngineFailure, 2, "engine failure: "),
+        (EntangledSelection, 1, "error: "),
+        (MalformedCode, 1, "error: "),
+    ],
+    ids=["EngineFailure", "EntangledSelection", "MalformedCode"],
+)
+def test_errors_from_the_engine_map_to_exit_codes(monkeypatch, capsys, error, status, prefix):
+    def fail(code, seed=0):
+        raise error("no result")
+
+    monkeypatch.setattr("qvm.cli.execute", fail)
+    assert run_cli(capsys, "run", "bell") == (status, "", f"{prefix}no result\n")
 
 
 class TestIrRoundTrip:

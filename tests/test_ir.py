@@ -2,9 +2,10 @@
 
 import math
 import re
+from contextlib import ExitStack
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import qvm
 from qvm import (
@@ -25,6 +26,8 @@ from qvm import (
     ctrl,
     new_process,
 )
+
+from oracles import expand
 
 GATE_H = Gate(GateKind.HADAMARD)
 GATE_X = Gate(GateKind.PAULI_X)
@@ -326,6 +329,16 @@ class TestScopesNest:
         assert p.code.instructions[1:] == (Measure((0,), 0),)
         assert p.measure([b]).value == 0
 
+    def test_branch_body_must_close_its_ctrl(self):
+        p = new_process()
+        a, b = p.alloc(2)
+        f = p.measure([a])
+        with pytest.raises(ScopeViolation):
+            p.branch(f, 1, lambda: p.ctrl_begin([b]))
+        assert p._scopes == []
+        assert p.code.instructions[1:] == (Measure((0,), 0),)
+        assert p.measure([b]).value == 0
+
     def test_adj_end_does_not_close_past_an_around(self):
         p = new_process()
         (a,) = p.alloc(1)
@@ -382,6 +395,118 @@ class TestScopesNest:
         qvm.x(c)
         assert p.code.instructions[1:] == (GateApp(GATE_X, 2),)
         assert p.measure([c]).value == 1
+
+
+def open_scopes(stack, p, qubit, kinds):
+    """Enter a ``with`` scope of each kind, outermost first, on ``stack``."""
+    for kind in kinds:
+        if kind == "ctrl":
+            stack.enter_context(ctrl(qubit))
+        elif kind == "adj":
+            stack.enter_context(adj(p))
+        else:
+            stack.enter_context(around(p, lambda: None))
+
+
+class TestScopeGuards:
+    """The innermost scope that is not an around decides what may be recorded."""
+
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            (("ctrl", "around"), "measure is not allowed inside an open control scope"),
+            (("adj", "around", "around"), "measure is not allowed inside an open adjoint scope"),
+            (("around",), None),
+            (("around", "around"), None),
+        ],
+        ids=["ctrl-around", "adj-around-around", "around", "around-around"],
+    )
+    def test_measure_under_arounds(self, kinds, message):
+        p = new_process()
+        a, b = p.alloc(2)
+        with ExitStack() as stack:
+            open_scopes(stack, p, a, kinds)
+            if message is None:
+                p.measure([b])
+            else:
+                with pytest.raises(ScopeViolation, match=f"^{message}$"):
+                    p.measure([b])
+        assert p._scopes == []
+
+    def test_branch_under_an_around_in_a_ctrl_is_rejected(self):
+        p = new_process()
+        a, b = p.alloc(2)
+        f = p.measure([a])
+        with pytest.raises(ScopeViolation):
+            with ExitStack() as stack:
+                open_scopes(stack, p, a, ("ctrl", "around"))
+                p.branch(f, 1, lambda: qvm.x(b))
+        assert p._scopes == []
+
+
+N_TREE_QUBITS = 4
+
+
+def scope_trees(depth=3):
+    """Sequences of gate, ``ctrl``, ``adj`` and ``around`` nodes, ``depth`` scopes deep."""
+    qubit = st.integers(0, N_TREE_QUBITS - 1)
+    node = st.tuples(st.just("gate"), gates(), qubit)
+    if depth > 0:
+        body = scope_trees(depth - 1)
+        node = st.one_of(
+            node,
+            st.tuples(st.just("ctrl"), st.lists(qubit, min_size=1, max_size=2).map(tuple), body),
+            st.tuples(st.just("adj"), body),
+            st.tuples(st.just("around"), body, body),
+        )
+    return st.lists(node, max_size=3)
+
+
+def record_tree(p, qubits, tree):
+    for node in tree:
+        if node[0] == "gate":
+            p.apply_gate(node[1], qubits[node[2]])
+        elif node[0] == "ctrl":
+            with ctrl(*(qubits[i] for i in node[1])):
+                record_tree(p, qubits, node[2])
+        elif node[0] == "adj":
+            with adj(p):
+                record_tree(p, qubits, node[1])
+        else:
+            with around(p, lambda outer=node[1]: record_tree(p, qubits, outer)):
+                record_tree(p, qubits, node[2])
+
+
+class TestScopeTreesAgainstTheirMeaning:
+    @settings(max_examples=300)
+    @given(scope_trees(), st.booleans())
+    def test_recorded_gates_match_expand(self, tree, in_branch):
+        p = new_process()
+        qs = p.alloc(N_TREE_QUBITS)
+        prefix = (Alloc(N_TREE_QUBITS),)
+        if in_branch:
+            future = p.measure([qs[0]])
+            prefix += (Measure((0,), 0),)
+
+        def record():
+            if in_branch:
+                p.branch(future, 1, lambda: record_tree(p, qs, tree))
+            else:
+                record_tree(p, qs, tree)
+
+        try:
+            expected = tuple(expand(tree))
+        except (ControlTargetOverlap, DuplicateControl) as exc:
+            with pytest.raises(type(exc)):
+                record()
+            if in_branch:
+                assert p.code.instructions == prefix  # a failed branch records nothing
+        else:
+            record()
+            if in_branch:
+                expected = (qvm.Branch(qvm.Condition(0, 1), expected),)
+            assert p.code.instructions == prefix + expected
+        assert p._scopes == []
 
 
 class TestMeasureAndFutures:

@@ -188,7 +188,7 @@ def nested_code(depth, gate=Gate(GateKind.PAULI_X)):
 def test_deep_nesting_is_malformed_on_encode_and_shallower_round_trips():
     with pytest.raises(MalformedCode, match="nested too deeply"):
         serialize(nested_code(600))
-    # compared as bytes: ``==`` on 300 nested dataclasses itself recurses too deeply
+    # compared as bytes; ``==`` holds at this depth too, as it walks nested blocks in a loop
     data = serialize(nested_code(300))
     assert serialize(deserialize(data)) == data
 
