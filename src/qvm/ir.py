@@ -20,6 +20,8 @@ Scope rules enforced while recording:
   open control scopes, outermost first;
 * adjoint scopes buffer gates and, on close, append the reversed sequence
   with each gate inverted, so nested adjoints cancel pairwise;
+* an around runs its ``outer`` once and keeps the gates it recorded; on
+  close it appends their reversed inverses, as an adjoint scope does;
 * a failing ``around_end``, ``with`` body or conditioned-block body leaves
   no scope open.
 """
@@ -151,6 +153,8 @@ class QuantumCode:
         up to that point in program order, so a gate can never run before
         its qubit exists.
         """
+        if not all(map(_is_int, (self.num_qubits, self.num_futures, self.num_dumps))):
+            raise MalformedCode("header counts must be integers")
         allocated = 0
         futures: set[int] = set()
         dumps: set[int] = set()
@@ -160,7 +164,7 @@ class QuantumCode:
                 if isinstance(ins, Alloc):
                     if len(blocks) > 1:
                         raise MalformedCode("allocation inside a conditioned block")
-                    if not isinstance(ins.count, int) or ins.count < 1:
+                    if not _is_int(ins.count) or ins.count < 1:
                         raise MalformedCode(f"allocation count must be >= 1, got {ins.count!r}")
                     allocated += ins.count
                     if allocated > MAX_QUBITS:
@@ -177,6 +181,8 @@ class QuantumCode:
                     _check_indices(ins.qubits, allocated, "measure")
                     if not ins.qubits:
                         raise MalformedCode("measure covers no qubits")
+                    if not _is_int(ins.future):
+                        raise MalformedCode(f"future id must be an integer, got {ins.future!r}")
                     if ins.future in futures:
                         raise MalformedCode(f"future id {ins.future} produced twice")
                     futures.add(ins.future)
@@ -186,10 +192,14 @@ class QuantumCode:
                     _check_indices(ins.qubits, allocated, "dump")
                     if not ins.qubits:
                         raise MalformedCode("dump covers no qubits")
+                    if not _is_int(ins.dump):
+                        raise MalformedCode(f"dump id must be an integer, got {ins.dump!r}")
                     if ins.dump in dumps:
                         raise MalformedCode(f"dump id {ins.dump} produced twice")
                     dumps.add(ins.dump)
                 elif isinstance(ins, Branch):
+                    if not (_is_int(ins.condition.future) and _is_int(ins.condition.equals)):
+                        raise MalformedCode(f"condition must hold integers, got {ins.condition!r}")
                     if ins.condition.future not in futures:
                         raise MalformedCode(
                             f"condition on future {ins.condition.future} with no prior measure"
@@ -234,9 +244,13 @@ class QuantumCode:
         return True
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_indices(qubits: Sequence[int], allocated: int, what: str) -> None:
     for q in qubits:
-        if not isinstance(q, int) or isinstance(q, bool) or not 0 <= q < allocated:
+        if not _is_int(q) or not 0 <= q < allocated:
             raise MalformedCode(f"{what} references qubit {q!r}, only {allocated} allocated")
     if len(set(qubits)) != len(qubits):
         raise MalformedCode(f"{what} lists a qubit more than once")
@@ -263,7 +277,8 @@ class _Scope:
     controls: tuple[int, ...]
     sink: list[Instruction]
     guard: str
-    outer: Callable[[], None] | None = None  # around
+    # around: what ``outer`` recorded, or None until ``outer`` has returned
+    outer: tuple[Instruction, ...] | None = None
 
 
 _process_ids = itertools.count()
@@ -380,11 +395,11 @@ class Process:
     def _top(self) -> _Scope:
         return self._scopes[-1] if self._scopes else self._root
 
-    def _open(self, kind: str, controls: tuple[int, ...] = (), buffer=None, outer=None) -> None:
+    def _open(self, kind: str, controls: tuple[int, ...] = (), buffer=None) -> None:
         top = self._top()
         sink = top.sink if buffer is None else buffer
         guard = top.guard if kind == "around" else kind
-        self._scopes.append(_Scope(kind, top.controls + controls, sink, guard, outer))
+        self._scopes.append(_Scope(kind, top.controls + controls, sink, guard))
 
     def _close(self, kind: str) -> _Scope:
         if not self._scopes or self._scopes[-1].kind != kind:
@@ -404,6 +419,8 @@ class Process:
         """Allocate ``count`` fresh qubits in |0⟩ and return their handles."""
         self._require_building()
         self._require_no_scopes("allocation")
+        if not _is_int(count):
+            raise TypeError(f"allocation count must be an integer, got {count!r}")
         if count < 1:
             raise ValueError(f"allocation count must be >= 1, got {count}")
         start = self.num_qubits
@@ -451,22 +468,34 @@ class Process:
         self._open("adjoint", buffer=[])
 
     def adj_end(self) -> None:
-        buffer = self._close("adjoint").sink
+        self._emit_adjoint(self._close("adjoint").sink)
+
+    def _emit_adjoint(self, gates: Sequence[GateApp]) -> None:
         self._top().sink.extend(
-            GateApp(ins.gate.inverse(), ins.target, ins.controls) for ins in reversed(buffer)
+            GateApp(g.gate.inverse(), g.target, g.controls) for g in reversed(gates)
         )
 
     def around_begin(self, outer: Callable[[], None]) -> None:
-        """Emit ``outer`` now and remember it; ``around_end`` emits its adjoint."""
+        """Run ``outer`` once and keep what it recorded; ``around_end`` emits its adjoint."""
         self._require_building()
-        self._open("around", outer=outer)
+        self._open("around")
+        frame = self._scopes[-1]
+        start = len(frame.sink)
         outer()
+        frame.outer = tuple(frame.sink[start:])
 
     def around_end(self) -> None:
-        """Emit the adjoint of the innermost around's ``outer``; on failure, emit none."""
+        """Emit the adjoint of what the innermost around's ``outer`` recorded.
+
+        If ``outer`` raised or recorded anything but gates, the around closes,
+        nothing is emitted, and ``ScopeViolation`` is raised.
+        """
         outer = self._close("around").outer
-        with _scope(self, self.adj_begin, self.adj_end):
-            outer()
+        if outer is None:
+            raise ScopeViolation("around closed before its outer section finished")
+        if any(ins.__class__ is not GateApp for ins in outer):
+            raise ScopeViolation("an around's outer section may record gates only")
+        self._emit_adjoint(outer)
 
     def measure(self, qubits: QubitHandle | Sequence[QubitHandle]) -> FutureValue:
         """Record a measurement; the first listed qubit is the outcome's MSB.
@@ -510,6 +539,8 @@ class Process:
         self._require_building()
         if not isinstance(future, FutureValue) or future.process is not self:
             raise UnknownFuture(f"{future!r} was not produced by process {self.id}")
+        if not _is_int(equals):
+            raise TypeError(f"condition literal must be an integer, got {equals!r}")
         if equals < 0:
             raise ValueError("condition literal must be non-negative")
         if self._top().guard in ("control", "adjoint"):
@@ -598,10 +629,11 @@ def adj(process: Process):
 def around(process: Process, outer: Callable[[], None], inner: Callable[[], None] | None = None):
     """Emit ``outer``, an inner section, then the adjoint of ``outer``.
 
-    With ``inner`` given this is a one-shot call; without it, it returns a
-    ``with`` block whose body forms the inner section.  If ``outer`` or the
-    inner section raises, the scope closes, the adjoint of ``outer`` is not
-    emitted, the gates already emitted stay, and the exception propagates.
+    ``outer`` runs once; the adjoint is the reversed inverses of the gates it
+    recorded.  With ``inner`` given this is a one-shot call; without it, it
+    returns a ``with`` block whose body forms the inner section.  If ``outer``
+    or the inner section raises, the scope closes, the adjoint of ``outer`` is
+    not emitted, the gates already emitted stay, and the exception propagates.
     """
     block = _scope(process, lambda: process.around_begin(outer), process.around_end)
     if inner is not None:

@@ -14,6 +14,7 @@ import numpy as np
 
 import qvm
 from qvm.render import SQRT_DENOM_LIMIT, SQRT_NUMER_LIMIT
+from qvm.rng import Xoshiro256StarStar
 from qvm.simulator import StateVector, apply_kernel, gate_matrix
 
 I2 = np.eye(2, dtype=complex)
@@ -150,6 +151,38 @@ def measure_oracle(amps: np.ndarray, n: int, qubits, u: float):
         dtype=complex,
     )
     return outcome, collapsed
+
+
+def program_oracle(code: qvm.QuantumCode, seed: int):
+    """Futures and final amplitudes of running ``code``, from dense matrices.
+
+    An allocation extends the state by ``np.kron``, a gate multiplies it by
+    its ``dense_controlled`` matrix, a measurement goes through
+    ``measure_oracle`` with the next draw of ``Xoshiro256StarStar(seed)``,
+    and a branch body runs iff the future drawn for it equals the literal.
+    Dumps are skipped.
+    """
+    rng = Xoshiro256StarStar(seed)
+    futures: dict[int, int] = {}
+    amps, n = np.ones(1, dtype=complex), 0
+
+    def run(block):
+        nonlocal amps, n
+        for ins in block:
+            if isinstance(ins, qvm.Alloc):
+                fresh = np.zeros(1 << ins.count, dtype=complex)
+                fresh[0] = 1
+                amps, n = np.kron(amps, fresh), n + ins.count
+            elif isinstance(ins, qvm.GateApp):
+                amps = dense_controlled(gate_matrix(ins.gate), n, ins.target, ins.controls) @ amps
+            elif isinstance(ins, qvm.Measure):
+                futures[ins.future], amps = measure_oracle(amps, n, ins.qubits, rng.uniform())
+            elif isinstance(ins, qvm.Branch):
+                if futures[ins.condition.future] == ins.condition.equals:
+                    run(ins.body)
+
+    run(code.instructions)
+    return futures, amps
 
 
 def pair_oracle(amps: np.ndarray, n: int, matrix: np.ndarray, target: int, controls):

@@ -66,6 +66,18 @@ class TestProcessBasics:
         with pytest.raises(ValueError):
             new_process().alloc(0)
 
+    @pytest.mark.parametrize(
+        "count, error", [(2.0, TypeError), (True, TypeError), (0, ValueError)]
+    )
+    def test_failed_alloc_changes_nothing(self, count, error):
+        p = new_process()
+        p.alloc(1)
+        with pytest.raises(error):
+            p.alloc(count)
+        assert p.num_qubits == 1
+        assert p.code == qvm.QuantumCode(1, (Alloc(1),))
+        assert [h.index for h in p.alloc(1)] == [1]
+
     def test_handles_compare_by_process_and_index(self):
         p = new_process()
         (a,) = p.alloc(1)
@@ -265,6 +277,35 @@ class TestAround:
         with pytest.raises(ScopeUnderflow):
             new_process().around_end()
 
+    def test_outer_runs_once(self):
+        p = new_process()
+        (a,) = p.alloc(1)
+        calls = []
+
+        def outer():
+            calls.append(None)
+            qvm.h(a)
+
+        around(p, outer, lambda: qvm.x(a))
+        assert len(calls) == 1
+        with around(p, outer):
+            qvm.z(a)
+        assert len(calls) == 2
+        assert p.code.instructions[1:] == tuple(
+            GateApp(Gate(kind), 0) for kind in "hxhhzh"
+        )
+
+    def test_adjoint_is_of_what_outer_recorded(self):
+        p = new_process()
+        (q,) = p.alloc(1)
+        theta = [0.3]
+        with around(p, lambda: qvm.rz(theta[0], q)):
+            theta[0] = 0.5
+        assert p.code.instructions[1:] == (
+            GateApp(Gate(GateKind.RZ, 0.3), 0),
+            GateApp(Gate(GateKind.RZ, -0.3), 0),
+        )
+
 
 class TestScopesThatRaise:
     """A body that raises closes its scope, emits nothing more, and propagates."""
@@ -368,6 +409,22 @@ class TestScopesNest:
             Measure((1,), 0),
             GateApp(GATE_H, 1),
         )
+        assert p.measure([a]).value == 1
+
+    def test_around_end_after_outer_raised_emits_nothing(self):
+        p = new_process()
+        (a,) = p.alloc(1)
+
+        def outer():
+            qvm.x(a)
+            raise RuntimeError("outer failed")
+
+        with pytest.raises(RuntimeError):
+            p.around_begin(outer)
+        with pytest.raises(ScopeViolation):
+            p.around_end()
+        assert p._scopes == []
+        assert p.code.instructions[1:] == (GateApp(GATE_X, 0),)
         assert p.measure([a]).value == 1
 
     def test_inner_section_of_around_may_measure_and_allocate(self):
@@ -654,6 +711,16 @@ class TestBranch:
         m = p.measure([b])
         assert m.value == 1
 
+    @pytest.mark.parametrize("equals", [1.0, True])
+    def test_literal_must_be_an_integer(self, equals):
+        p = new_process()
+        (a,) = p.alloc(1)
+        f = p.measure([a])
+        with pytest.raises(TypeError):
+            p.branch(f, equals, lambda: qvm.x(a))
+        assert p.code.instructions[1:] == (Measure((0,), 0),)
+        assert p._scopes == []
+
     def test_unsatisfiable_literal_is_allowed_and_never_fires(self):
         p = new_process()
         a, b = p.alloc(2)
@@ -800,6 +867,27 @@ VALIDATE_RULES = {
     "header-dumps": (
         qvm.QuantumCode(1, (Alloc(1), qvm.Dump((0,), 1)), num_dumps=1),
         "dump ids are not exactly 0..num_dumps-1",
+    ),
+    "alloc-bool": (qvm.QuantumCode(1, (Alloc(True),)), "allocation count must be >= 1, got True"),
+    "measure-bool-id": (
+        qvm.QuantumCode(1, (*MEASURED, Measure((0,), True)), num_futures=2),
+        "future id must be an integer, got True",
+    ),
+    "dump-bool-id": (
+        qvm.QuantumCode(1, (Alloc(1), qvm.Dump((0,), 0), qvm.Dump((0,), True)), num_dumps=2),
+        "dump id must be an integer, got True",
+    ),
+    "condition-float-literal": (
+        qvm.QuantumCode(1, (*MEASURED, qvm.Branch(qvm.Condition(0, 1.0), ())), num_futures=1),
+        "condition must hold integers, got Condition(future=0, equals=1.0)",
+    ),
+    "condition-bool-future": (
+        qvm.QuantumCode(1, (*MEASURED, qvm.Branch(qvm.Condition(False, 0), ())), num_futures=1),
+        "condition must hold integers, got Condition(future=False, equals=0)",
+    ),
+    "header-bool-count": (
+        qvm.QuantumCode(True, (Alloc(1),)),
+        "header counts must be integers",
     ),
 }
 

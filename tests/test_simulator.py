@@ -33,7 +33,15 @@ from qvm.simulator import (
     measure_kernel,
 )
 
-from oracles import dense_controlled, measure_oracle, pair_oracle, run_gates
+from oracles import (
+    dense_controlled,
+    dump_vector,
+    max_dev_up_to_phase,
+    measure_oracle,
+    pair_oracle,
+    program_oracle,
+    run_gates,
+)
 
 SQRT1_2 = 1 / math.sqrt(2)
 
@@ -527,3 +535,62 @@ class TestAlgebraicProperties:
                 p.measure([target])
         p.dump_state(qs)
         execute(p.code, seed=3)  # interpreter asserts normalization internally
+
+
+def gate_apps(allocated):
+    """Gates of every kind on ``allocated`` qubits, with 0-2 controls."""
+    kinds = st.sampled_from(ALL_KINDS)
+    gates = kinds.flatmap(
+        lambda kind: st.floats(-10, 10).map(lambda a: Gate(kind, a))
+        if kind in qvm.ir.PARAMETRIC_KINDS
+        else st.just(Gate(kind))
+    )
+    qubits = st.lists(
+        st.integers(0, allocated - 1), min_size=1, max_size=min(3, allocated), unique=True
+    )
+    return st.builds(lambda gate, qs: qvm.GateApp(gate, qs[0], tuple(qs[1:])), gates, qubits)
+
+
+@st.composite
+def programs(draw):
+    """Programs on 1-4 qubits of up to 25 steps, ending in a dump of every qubit.
+
+    A step is a gate, a measurement of one or more qubits, a branch of 0-2
+    gates on an earlier future, or an allocation of the qubits still missing.
+    """
+    n = draw(st.integers(1, 4))
+    allocated = draw(st.integers(1, n))
+    instructions = [qvm.Alloc(allocated)]
+    widths = []  # qubits measured, by future id
+    for _ in range(draw(st.integers(0, 25))):
+        step = draw(st.sampled_from(["gate", "gate", "gate", "measure", "branch", "alloc"]))
+        if step == "alloc" and allocated < n:
+            instructions.append(qvm.Alloc(n - allocated))
+            allocated = n
+        elif step == "measure":
+            qubits = draw(
+                st.lists(st.integers(0, allocated - 1), min_size=1, max_size=allocated, unique=True)
+            )
+            instructions.append(qvm.Measure(tuple(qubits), len(widths)))
+            widths.append(len(qubits))
+        elif step == "branch" and widths:
+            future = draw(st.integers(0, len(widths) - 1))
+            equals = draw(st.integers(0, (1 << widths[future]) - 1))
+            body = draw(st.lists(gate_apps(allocated), max_size=2))
+            instructions.append(qvm.Branch(qvm.Condition(future, equals), tuple(body)))
+        else:
+            instructions.append(draw(gate_apps(allocated)))
+    if allocated < n:
+        instructions.append(qvm.Alloc(n - allocated))
+    instructions.append(qvm.Dump(tuple(range(n)), 0))
+    return qvm.QuantumCode(n, tuple(instructions), len(widths), 1)
+
+
+class TestExecuteAgainstProgramOracle:
+    @settings(max_examples=300)
+    @given(programs(), st.integers(0, 2**64 - 1))
+    def test_futures_exact_and_final_dump_within_1e_12(self, code, seed):
+        result = execute(code, seed)
+        futures, amps = program_oracle(code, seed)
+        assert result.futures == futures
+        assert max_dev_up_to_phase(dump_vector(result.dumps[0]), amps) < 1e-12
