@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence, Union
@@ -76,12 +75,20 @@ MAX_DEPTH = 300
 
 @dataclass(frozen=True)
 class Gate:
-    """A single-qubit gate; rotation and phase kinds carry an angle in radians."""
+    """A single-qubit gate; rotation and phase kinds carry an angle in radians.
+
+    ``kind`` may also be given by name, such as "rx"; an unknown name raises ValueError.
+    """
 
     kind: GateKind
     angle: float | None = None
 
     def __post_init__(self):
+        if self.kind.__class__ is not GateKind:
+            try:
+                object.__setattr__(self, "kind", GateKind(self.kind))
+            except ValueError:
+                raise ValueError(f"unknown gate kind {self.kind!r}") from None
         if self.kind in PARAMETRIC_KINDS:
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError(f"gate {self.kind.value!r} requires a finite angle")
@@ -151,17 +158,25 @@ class QuantumCode:
 
         Qubit references are checked against the number of qubits allocated
         up to that point in program order, so a gate can never run before
-        its qubit exists.
+        its qubit exists.  Any field of the wrong type or shape, such as a
+        list where the dataclass declares a tuple, raises MalformedCode too.
         """
         if not all(map(_is_int, (self.num_qubits, self.num_futures, self.num_dumps))):
             raise MalformedCode("header counts must be integers")
+        _check_type(self.instructions, tuple, "program instructions")
         allocated = 0
         futures: set[int] = set()
         dumps: set[int] = set()
         blocks = [iter(self.instructions)]
         while blocks:
             for ins in blocks[-1]:
-                if isinstance(ins, Alloc):
+                if isinstance(ins, GateApp):  # first: most instructions are gates
+                    if not isinstance(ins.gate, Gate):
+                        raise MalformedCode("gate application without a gate")
+                    if ins.controls.__class__ is not tuple:  # inline, as this runs per gate per shot
+                        _check_type(ins.controls, tuple, "gate controls")
+                    _check_indices((ins.target, *ins.controls), allocated, "gate")
+                elif isinstance(ins, Alloc):
                     if len(blocks) > 1:
                         raise MalformedCode("allocation inside a conditioned block")
                     if not _is_int(ins.count) or ins.count < 1:
@@ -171,13 +186,10 @@ class QuantumCode:
                         raise MalformedCode(
                             f"program allocates {allocated} qubits, more than the limit of {MAX_QUBITS}"
                         )
-                elif isinstance(ins, GateApp):
-                    if not isinstance(ins.gate, Gate):
-                        raise MalformedCode("gate application without a gate")
-                    _check_indices((ins.target, *ins.controls), allocated, "gate")
                 elif isinstance(ins, Measure):
                     if len(blocks) > 1:
                         raise MalformedCode("measurement inside a conditioned block")
+                    _check_type(ins.qubits, tuple, "measure qubits")
                     _check_indices(ins.qubits, allocated, "measure")
                     if not ins.qubits:
                         raise MalformedCode("measure covers no qubits")
@@ -189,6 +201,7 @@ class QuantumCode:
                 elif isinstance(ins, Dump):
                     if len(blocks) > 1:
                         raise MalformedCode("dump inside a conditioned block")
+                    _check_type(ins.qubits, tuple, "dump qubits")
                     _check_indices(ins.qubits, allocated, "dump")
                     if not ins.qubits:
                         raise MalformedCode("dump covers no qubits")
@@ -198,6 +211,8 @@ class QuantumCode:
                         raise MalformedCode(f"dump id {ins.dump} produced twice")
                     dumps.add(ins.dump)
                 elif isinstance(ins, Branch):
+                    _check_type(ins.condition, Condition, "branch condition")
+                    _check_type(ins.body, tuple, "branch body")
                     if not (_is_int(ins.condition.future) and _is_int(ins.condition.equals)):
                         raise MalformedCode(f"condition must hold integers, got {ins.condition!r}")
                     if ins.condition.future not in futures:
@@ -246,6 +261,11 @@ class QuantumCode:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_type(value, kind: type, what: str) -> None:
+    if not isinstance(value, kind):
+        raise MalformedCode(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _check_indices(qubits: Sequence[int], allocated: int, what: str) -> None:
@@ -546,7 +566,7 @@ class Process:
         if self._top().guard in ("control", "adjoint"):
             raise ScopeViolation("conditioned blocks cannot open inside control/adjoint scopes")
         buffer: list[Instruction] = []
-        with _scope(
+        with _ScopeBlock(
             self, lambda: self._open("branch", buffer=buffer), lambda: self._close("branch")
         ):
             body()
@@ -584,27 +604,42 @@ def _process_of(qubits: Sequence[QubitHandle], what: str) -> Process:
     return first.process
 
 
-@contextmanager
-def _scope(process: Process, begin: Callable[[], None], end: Callable[[], None], value=None):
-    """Run ``begin``, the ``with`` body, then ``end``.
+class _ScopeBlock:
+    """A ``with`` block that runs ``begin`` on entry and ``end`` on a clean exit.
 
     If ``begin``, the body or ``end`` raises, every scope opened since entry,
     this one included, closes without emitting anything more: an adjoint
     buffer and an around's adjoint are dropped, gates already emitted stay,
     and the exception propagates.  A body that returns with a scope left
     open, or with this scope already closed, raises ``ScopeViolation`` in
-    the same way, so ``end`` closes only the scope ``begin`` opened.
+    the same way, so ``end`` closes only the scope ``begin`` opened.  A block
+    is entered once; entering it again raises ``ScopeViolation``.
     """
-    depth = len(process._scopes)
-    try:
-        begin()
-        yield value
-        if len(process._scopes) != depth + 1:
+
+    def __init__(self, process: Process, begin: Callable[[], None], end: Callable[[], None], value=None):
+        self.process, self.begin, self.end, self.value = process, begin, end, value
+        self.depth: int | None = None
+
+    def __enter__(self):
+        if self.depth is not None:
+            raise ScopeViolation("a scope block can be entered only once")
+        self.depth = len(self.process._scopes)
+        self._closing_on_failure(self.begin)
+        return self.value
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None and len(self.process._scopes) == self.depth + 1:
+            return self._closing_on_failure(self.end)
+        del self.process._scopes[self.depth :]
+        if exc_type is None:
             raise ScopeViolation("scope body must close exactly the scopes it opens")
-        end()
-    except BaseException:
-        del process._scopes[depth:]
-        raise
+
+    def _closing_on_failure(self, step: Callable[[], None]) -> None:
+        try:
+            step()
+        except BaseException:
+            del self.process._scopes[self.depth :]
+            raise
 
 
 def ctrl(*qubits: QubitHandle):
@@ -614,7 +649,7 @@ def ctrl(*qubits: QubitHandle):
     exception propagates.
     """
     process = _process_of(qubits, "ctrl")
-    return _scope(process, lambda: process.ctrl_begin(qubits), process.ctrl_end, qubits)
+    return _ScopeBlock(process, lambda: process.ctrl_begin(qubits), process.ctrl_end, qubits)
 
 
 def adj(process: Process):
@@ -623,7 +658,7 @@ def adj(process: Process):
     If the body raises, the scope closes, its buffered gates are dropped
     unemitted, and the exception propagates.
     """
-    return _scope(process, process.adj_begin, process.adj_end)
+    return _ScopeBlock(process, process.adj_begin, process.adj_end)
 
 
 def around(process: Process, outer: Callable[[], None], inner: Callable[[], None] | None = None):
@@ -635,7 +670,7 @@ def around(process: Process, outer: Callable[[], None], inner: Callable[[], None
     or the inner section raises, the scope closes, the adjoint of ``outer`` is
     not emitted, the gates already emitted stay, and the exception propagates.
     """
-    block = _scope(process, lambda: process.around_begin(outer), process.around_end)
+    block = _ScopeBlock(process, lambda: process.around_begin(outer), process.around_end)
     if inner is not None:
         with block:
             inner()

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvm import EngineFailure, EntangledSelection, MalformedCode
+from qvm import EngineFailure, EntangledSelection, MalformedCode, deserialize
 from qvm.cli import main
 from qvm.examples import EXAMPLES
 
@@ -282,6 +282,19 @@ def fuzz_slots(doc):
     return slots
 
 
+# One value of each JSON type, plus arrays and an integer past any index.
+WRONG_TYPES = [None, True, 1.5, "x", [], [0], [True], {}, 10**30]
+
+
+def value_paths(node, path=()):
+    """The key path of every value nested in ``node``, arrays' elements included."""
+    keys = node if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield path + (key,)
+        if isinstance(node[key], (dict, list)):
+            yield from value_paths(node[key], path + (key,))
+
+
 class TestHostileInput:
     def run_document(self, tmp_path, capsys, instructions, num_qubits):
         path = tmp_path / "program.json"
@@ -323,6 +336,28 @@ class TestHostileInput:
             + branch * depth + gate + "]}" * depth + "]}"
         )
         self.assert_one_error_line(*run_cli(capsys, "run-ir", str(path)))
+
+    def test_every_value_of_the_wrong_type_decodes_or_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "program.json"
+        for keys in value_paths(FUZZ_BASE):
+            for value in WRONG_TYPES:
+                doc = copy.deepcopy(FUZZ_BASE)
+                container = doc
+                for key in keys[:-1]:
+                    container = container[key]
+                container[keys[-1]] = value
+                text = json.dumps(doc)
+                try:
+                    code = deserialize(text)
+                except MalformedCode:
+                    pass
+                else:
+                    code.validate()
+                path.write_text(text)
+                status, _, err = run_cli(capsys, "run-ir", str(path))
+                assert status in (0, 1, 2) and "Traceback" not in err, (keys, value)
+                if status == 1:
+                    assert err.startswith("error: ") and err.count("\n") == 1, (keys, value)
 
     @given(st.data())
     @settings(max_examples=200)

@@ -96,6 +96,12 @@ class TestGateType:
         with pytest.raises(ValueError):
             Gate(GateKind.HADAMARD, 1.0)
 
+    def test_kind_may_be_given_by_name(self):
+        assert Gate("rx", 0.5) == Gate(GateKind.RX, 0.5)
+        assert Gate("x").kind is GateKind.PAULI_X
+        with pytest.raises(ValueError, match="^unknown gate kind 'cnot'$"):
+            Gate("cnot")
+
     @given(gates())
     def test_inverse_is_an_involution(self, gate):
         assert gate.inverse().inverse() == gate
@@ -320,6 +326,17 @@ class TestScopesThatRaise:
         assert p.code.instructions[1:] == (GateApp(GATE_X, 1, (0,)),)
         qvm.x(a)
         assert p.measure([a, b]).value == 0b10
+
+    def test_block_entered_inside_itself_leaves_no_scope_open(self):
+        p = new_process()
+        (a,) = p.alloc(1)
+        block = adj(p)
+        with pytest.raises(ScopeViolation, match="^a scope block can be entered only once$"):
+            with block:
+                with block:
+                    qvm.x(a)
+        assert p._scopes == []
+        assert p.code.instructions[1:] == ()
 
     def test_adj_drops_its_buffer(self):
         p = new_process()
@@ -888,6 +905,34 @@ VALIDATE_RULES = {
     "header-bool-count": (
         qvm.QuantumCode(True, (Alloc(1),)),
         "header counts must be integers",
+    ),
+    "instructions-list": (
+        qvm.QuantumCode(1, [Alloc(1)]),
+        "program instructions must be a tuple, got list",
+    ),
+    "gate-list-controls": (
+        qvm.QuantumCode(2, (Alloc(2), GateApp(GATE_X, 0, [1]))),
+        "gate controls must be a tuple, got list",
+    ),
+    "measure-list-qubits": (
+        qvm.QuantumCode(1, (Alloc(1), Measure([0], 0)), 1),
+        "measure qubits must be a tuple, got list",
+    ),
+    "measure-int-qubits": (
+        qvm.QuantumCode(1, (Alloc(1), Measure(0, 0)), 1),
+        "measure qubits must be a tuple, got int",
+    ),
+    "dump-int-qubits": (
+        qvm.QuantumCode(1, (Alloc(1), qvm.Dump(0, 0)), num_dumps=1),
+        "dump qubits must be a tuple, got int",
+    ),
+    "branch-tuple-condition": (
+        qvm.QuantumCode(1, (*MEASURED, qvm.Branch((0, 0), ())), num_futures=1),
+        "branch condition must be a Condition, got tuple",
+    ),
+    "branch-list-body": (
+        qvm.QuantumCode(1, (*MEASURED, qvm.Branch(ON_0, [])), num_futures=1),
+        "branch body must be a tuple, got list",
     ),
 }
 

@@ -133,6 +133,12 @@ def test_not_json_rejected():
         deserialize(b"[1, 2, 3]")
 
 
+def test_integer_past_the_digit_limit_rejected():
+    digits = "9" * 5000  # json.loads raises a plain ValueError past 4300 digits
+    with pytest.raises(MalformedCode, match="^not valid JSON"):
+        deserialize('{"version": 1, "num_qubits": %s}' % digits)
+
+
 def test_gate_missing_angle_rejected():
     doc = {
         "version": 1,
@@ -142,6 +148,32 @@ def test_gate_missing_angle_rejected():
         "instructions": [
             {"op": "alloc", "count": 1},
             {"op": "gate", "kind": "rx", "target": 0, "controls": []},
+        ],
+    }
+    with pytest.raises(MalformedCode):
+        deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        {"kind": "h", "angle": None},
+        {"kind": "h", "angle": True},
+        {"kind": "rx", "angle": None},
+        {"kind": "rx", "angle": True},
+        {"kind": "rz"},
+    ],
+    ids=["h-null", "h-true", "rx-null", "rx-true", "rz-missing"],
+)
+def test_angle_of_wrong_type_or_missing_rejected(gate):
+    doc = {
+        "version": 1,
+        "num_qubits": 1,
+        "num_futures": 0,
+        "num_dumps": 0,
+        "instructions": [
+            {"op": "alloc", "count": 1},
+            {"op": "gate", **gate, "target": 0, "controls": []},
         ],
     }
     with pytest.raises(MalformedCode):
