@@ -4,6 +4,8 @@ Subcommands: ``run`` (bundled example), ``run-ir`` (serialized program file),
 ``emit-ir`` (write a bundled example as JSON), ``bloch`` (coordinates of a
 one-qubit snapshot), and ``examples``.  Shots re-execute the whole program
 with seeds seed, seed+1, ..., so conditioned blocks resample correctly.
+Each shot prints or is tallied as it finishes, and only the first shot's dumps
+are kept, so memory does not grow with ``--shots``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 
 from .errors import EngineFailure, EntangledSelection, MalformedCode, QvmError, WrongArity
 from .examples import EXAMPLES
@@ -51,25 +54,21 @@ def _run_code(code: QuantumCode, args: argparse.Namespace) -> int:
     if args.shots < 1:
         raise ValueError("shots must be >= 1")
     spec = parse_format(args.format or "")
-    results = [execute(code, args.seed + shot) for shot in range(args.shots)]
-    if args.output == "json":
-        for result in results:
-            print(json.dumps(_result_json(result)))
-        return 0
     sections: list[str] = []
-    first = results[0]
-    for dump_id in sorted(first.dumps):
-        sections.append(show(first.dumps[dump_id], spec))
-    if code.num_futures:
-        counts: dict[tuple[int, ...], int] = {}
-        for result in results:
-            key = tuple(result.futures[fid] for fid in range(code.num_futures))
-            counts[key] = counts.get(key, 0) + 1
-        lines = [
+    counts: Counter[tuple[int, ...]] = Counter()
+    for shot in range(args.shots):
+        result = execute(code, args.seed + shot)
+        if args.output == "json":
+            print(json.dumps(_result_json(result)))
+        else:
+            if shot == 0:
+                sections = [show(result.dumps[dump_id], spec) for dump_id in sorted(result.dumps)]
+            counts[tuple(result.futures[fid] for fid in range(code.num_futures))] += 1
+    if code.num_futures and args.output == "human":
+        sections.append("\n".join(
             f"{' '.join(str(v) for v in key)}: {count} ({count / args.shots * 100:.2f}%)"
             for key, count in sorted(counts.items())
-        ]
-        sections.append("\n".join(lines))
+        ))
     if sections:
         print("\n\n".join(sections))
     return 0

@@ -73,6 +73,12 @@ MAX_QUBITS = 24
 MAX_DEPTH = 300
 
 
+def short_repr(value) -> str:
+    """``repr(value)`` cut to at most 80 characters, so a hostile value cannot flood a message."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 @dataclass(frozen=True)
 class Gate:
     """A single-qubit gate; rotation and phase kinds carry an angle in radians.
@@ -88,7 +94,7 @@ class Gate:
             try:
                 object.__setattr__(self, "kind", GateKind(self.kind))
             except ValueError:
-                raise ValueError(f"unknown gate kind {self.kind!r}") from None
+                raise ValueError(f"unknown gate kind {short_repr(self.kind)}") from None
         if self.kind in PARAMETRIC_KINDS:
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError(f"gate {self.kind.value!r} requires a finite angle")
@@ -180,11 +186,11 @@ class QuantumCode:
                     if len(blocks) > 1:
                         raise MalformedCode("allocation inside a conditioned block")
                     if not _is_int(ins.count) or ins.count < 1:
-                        raise MalformedCode(f"allocation count must be >= 1, got {ins.count!r}")
+                        raise MalformedCode(f"allocation count must be >= 1, got {short_repr(ins.count)}")
                     allocated += ins.count
                     if allocated > MAX_QUBITS:
                         raise MalformedCode(
-                            f"program allocates {allocated} qubits, more than the limit of {MAX_QUBITS}"
+                            f"program allocates {short_repr(allocated)} qubits, more than the limit of {MAX_QUBITS}"
                         )
                 elif isinstance(ins, Measure):
                     if len(blocks) > 1:
@@ -194,9 +200,9 @@ class QuantumCode:
                     if not ins.qubits:
                         raise MalformedCode("measure covers no qubits")
                     if not _is_int(ins.future):
-                        raise MalformedCode(f"future id must be an integer, got {ins.future!r}")
+                        raise MalformedCode(f"future id must be an integer, got {short_repr(ins.future)}")
                     if ins.future in futures:
-                        raise MalformedCode(f"future id {ins.future} produced twice")
+                        raise MalformedCode(f"future id {short_repr(ins.future)} produced twice")
                     futures.add(ins.future)
                 elif isinstance(ins, Dump):
                     if len(blocks) > 1:
@@ -206,18 +212,18 @@ class QuantumCode:
                     if not ins.qubits:
                         raise MalformedCode("dump covers no qubits")
                     if not _is_int(ins.dump):
-                        raise MalformedCode(f"dump id must be an integer, got {ins.dump!r}")
+                        raise MalformedCode(f"dump id must be an integer, got {short_repr(ins.dump)}")
                     if ins.dump in dumps:
-                        raise MalformedCode(f"dump id {ins.dump} produced twice")
+                        raise MalformedCode(f"dump id {short_repr(ins.dump)} produced twice")
                     dumps.add(ins.dump)
                 elif isinstance(ins, Branch):
                     _check_type(ins.condition, Condition, "branch condition")
                     _check_type(ins.body, tuple, "branch body")
                     if not (_is_int(ins.condition.future) and _is_int(ins.condition.equals)):
-                        raise MalformedCode(f"condition must hold integers, got {ins.condition!r}")
+                        raise MalformedCode(f"condition must hold integers, got {short_repr(ins.condition)}")
                     if ins.condition.future not in futures:
                         raise MalformedCode(
-                            f"condition on future {ins.condition.future} with no prior measure"
+                            f"condition on future {short_repr(ins.condition.future)} with no prior measure"
                         )
                     if ins.condition.equals < 0:
                         raise MalformedCode("condition literal must be non-negative")
@@ -226,12 +232,12 @@ class QuantumCode:
                     blocks.append(iter(ins.body))
                     break
                 else:
-                    raise MalformedCode(f"unknown instruction {ins!r}")
+                    raise MalformedCode(f"unknown instruction {short_repr(ins)}")
             else:
                 blocks.pop()
         if allocated != self.num_qubits:
             raise MalformedCode(
-                f"program allocates {allocated} qubits, header says {self.num_qubits}"
+                f"program allocates {allocated} qubits, header says {short_repr(self.num_qubits)}"
             )
         # lengths first, so a hostile header count builds no huge range
         if len(futures) != self.num_futures or futures != set(range(self.num_futures)):
@@ -271,7 +277,7 @@ def _check_type(value, kind: type, what: str) -> None:
 def _check_indices(qubits: Sequence[int], allocated: int, what: str) -> None:
     for q in qubits:
         if not _is_int(q) or not 0 <= q < allocated:
-            raise MalformedCode(f"{what} references qubit {q!r}, only {allocated} allocated")
+            raise MalformedCode(f"{what} references qubit {short_repr(q)}, only {allocated} allocated")
     if len(set(qubits)) != len(qubits):
         raise MalformedCode(f"{what} lists a qubit more than once")
 

@@ -1,7 +1,7 @@
 """JSON wire format for recorded programs.
 
 The document carries ``version`` (currently 1), the qubit/future/dump counts,
-and a flat instruction array of tagged objects::
+and a flat instruction array of tagged objects (spaced here for reading)::
 
     {"op": "alloc", "count": n}
     {"op": "gate", "kind": "h", "angle": 1.5707, "target": 0, "controls": [1]}
@@ -13,6 +13,8 @@ and a flat instruction array of tagged objects::
 format is the contract between the command line, the builder, and the engine.
 The decoder checks only JSON shape and ``version``; ``Gate`` and
 ``QuantumCode.validate`` check every value it puts into the dataclasses.
+``serialize`` writes the compact layout: one line with no spaces, then a
+newline.  ``deserialize`` reads any JSON whitespace.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .ir import (
     Instruction,
     Measure,
     QuantumCode,
+    short_repr,
 )
 
 FORMAT_VERSION = 1
@@ -60,7 +63,7 @@ def _encode_instruction(ins: Instruction) -> dict[str, Any]:
 
 
 def serialize(code: QuantumCode) -> bytes:
-    """Encode a validated program as UTF-8 JSON.
+    """Encode a validated program as one line of compact UTF-8 JSON.
 
     Validation caps nesting at ``ir.MAX_DEPTH``, which bounds the encoder's recursion.
     """
@@ -72,7 +75,7 @@ def serialize(code: QuantumCode) -> bytes:
         "num_dumps": code.num_dumps,
         "instructions": [_encode_instruction(i) for i in code.instructions],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def _need(obj: dict, key: str) -> Any:
@@ -84,21 +87,21 @@ def _need(obj: dict, key: str) -> Any:
 def _array(obj: dict, key: str) -> tuple:
     value = _need(obj, key)
     if value.__class__ is not list:
-        raise MalformedCode(f"field {key!r} has wrong type: {value!r}")
+        raise MalformedCode(f"field {key!r} has wrong type: {short_repr(value)}")
     return tuple(value)
 
 
 def _decode_instruction(obj: Any) -> Instruction:
     """Map one instruction object onto its dataclass, checking JSON shape only."""
     if not isinstance(obj, dict):
-        raise MalformedCode(f"instruction must be an object, got {obj!r}")
+        raise MalformedCode(f"instruction must be an object, got {short_repr(obj)}")
     op = _need(obj, "op")
     if op == "alloc":
         return Alloc(_need(obj, "count"))
     if op == "gate":
         angle = obj.get("angle")
         if "angle" in obj and angle.__class__ not in (int, float):  # null too is a wrong type
-            raise MalformedCode(f"field 'angle' has wrong type: {angle!r}")
+            raise MalformedCode(f"field 'angle' has wrong type: {short_repr(angle)}")
         try:
             gate = Gate(_need(obj, "kind"), angle)  # Gate judges the kind and the angle
         except ValueError as exc:
@@ -115,7 +118,7 @@ def _decode_instruction(obj: Any) -> Instruction:
             Condition(_need(obj, "future"), _need(obj, "equals")),
             tuple(_decode_instruction(i) for i in _array(obj, "body")),
         )
-    raise MalformedCode(f"unknown op {op!r}")
+    raise MalformedCode(f"unknown op {short_repr(op)}")
 
 
 def deserialize(data: bytes | str) -> QuantumCode:
@@ -139,7 +142,7 @@ def _decode_document(data: bytes | str) -> QuantumCode:
         raise MalformedCode("top level must be an object")
     version = _need(doc, "version")
     if version.__class__ is not int or version != FORMAT_VERSION:
-        raise MalformedCode(f"unsupported version {version!r}")
+        raise MalformedCode(f"unsupported version {short_repr(version)}")
     code = QuantumCode(
         num_qubits=_need(doc, "num_qubits"),
         instructions=tuple(_decode_instruction(i) for i in _array(doc, "instructions")),

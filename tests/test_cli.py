@@ -2,15 +2,18 @@
 
 import copy
 import gc
+import hashlib
 import io
 import json
 import math
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qvm.cli
 from qvm import EngineFailure, EntangledSelection, MalformedCode, deserialize
 from qvm.cli import main
 from qvm.examples import EXAMPLES
@@ -176,6 +179,83 @@ def test_errors_from_the_engine_map_to_exit_codes(monkeypatch, capsys, error, st
     assert run_cli(capsys, "run", "bell") == (status, "", f"{prefix}no result\n")
 
 
+# sha256 of stdout of ``run <example> --shots 300 --seed 9``, taken before the
+# command line streamed its shots, so streaming is checked to keep every byte.
+STREAM_DIGESTS = {
+    "human": {
+        "around-bell": "c768ff6eb485240abee19da5239efb6b9b4a3f3b3ce11f35de4ce1085fdf5b67",
+        "bell": "66d42a8fa14d75a71fe5698208daee042e0616f546f8dd0e506b2d88542529e2",
+        "ctrlbell": "2f15f9a33005b419c76a5ceca0aa6566990c3a82cb141bdd1906d8331b10a4e6",
+        "ctrlh": "bc5744638710d8ee2b34aa94583cc9f4e9a0d4782d888b1d1532a56f73abf8b7",
+        "grover-diffusor-demo": "cfa87512e1122d4f263d8fcf0cfc593e5d4eeecd9917547a5ee9b376f112b3b2",
+        "hadamard": "cd596c38be56b1561577f3ecd74a7c8f42e456763f28dcde0577472f90033c8d",
+        "qft-demo": "93cdc3d459f15cce63ffe77b7d297000d219e155fa4f9e0292cd259faf115586",
+        "teleport": "6bc2f82c4d5c1a6cfc4b071a45b0b3de5a227d953c475b2d7deddf58a18b5a57",
+        "x-gate": "9907c38342bca2ee179c8c0becc60ac0ef19044d942f9f587220095ac735e2eb",
+    },
+    "json": {
+        "around-bell": "15e1c81b6f3d9dc51a7f4802f00116548dc78d2f9b0d816f8dd336b9a0151b0a",
+        "bell": "6d30279a9ab51ac371c8fc9cb1260d2e6530f82b8295037809f28c0fe7820b07",
+        "ctrlbell": "400dc47f06e8534bc80e97f6a4550930ae4dcc3d3644f8276cb1f3ef4a7c7346",
+        "ctrlh": "a38dc8b7cd661e92797f1c624cb5733357c089532e047d267c78d300935a405d",
+        "grover-diffusor-demo": "ddbce03983d0496db6d13019ee8f6d2ef98f8ae82d9f47d95fe38f88d0e2d73d",
+        "hadamard": "f0c8f66ad0c4790af88d590a435b4ffc37816f260e9b1f62caed8f5e9ba9b914",
+        "qft-demo": "1c92fcd0189b154be98ff4a7b3d823c97ba4bb63aa916c38d2a7997a2efccff6",
+        "teleport": "f565e5c0234447aa7dd54ffe5ea8df09259682510aeaa8497446814fc237c0e4",
+        "x-gate": "4ab23d17c6b46afd404de1fceb082afd43fd2f45f414baffe023b565bc0cb654",
+    },
+}
+
+
+class TestShotStream:
+    def watch_execute(self, monkeypatch, fail_on_call=None):
+        """Wrap ``qvm.cli.execute``; each call records how many earlier results are alive."""
+        execute = qvm.cli.execute
+        results, alive = [], []
+
+        def watched(code, seed=0):
+            alive.append(sum(ref() is not None for ref in results))
+            if len(alive) == fail_on_call:
+                raise EngineFailure("shot failed")
+            result = execute(code, seed)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr("qvm.cli.execute", watched)
+        return alive
+
+    @pytest.mark.parametrize("output", ["human", "json"])
+    def test_at_most_one_earlier_result_is_alive(self, monkeypatch, capsys, output):
+        alive = self.watch_execute(monkeypatch)
+        status, _, _ = run_cli(capsys, "run", "teleport", "--shots", "50", "--output", output)
+        assert status == 0
+        assert len(alive) == 50 and max(alive) <= 1
+
+    def test_failing_shot_follows_the_lines_of_the_shots_before_it(self, monkeypatch, capsys):
+        argv = ("run", "bell", "--output", "json", "--shots")
+        _, first_three, _ = run_cli(capsys, *argv, "3")
+        alive = self.watch_execute(monkeypatch, fail_on_call=4)
+        assert run_cli(capsys, *argv, "10") == (2, first_three, "engine failure: shot failed\n")
+        assert first_three.count("\n") == 3 and len(alive) == 4
+
+    def test_format_that_does_not_fit_fails_after_one_shot(self, monkeypatch, capsys):
+        alive = self.watch_execute(monkeypatch)
+        status, out, err = run_cli(capsys, "run", "bell", "--shots", "1000", "--format", "b1")
+        assert (status, out, len(alive)) == (1, "", 1)
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("output", sorted(STREAM_DIGESTS))
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_run_and_run_ir_keep_their_bytes(self, tmp_path, capsys, name, output):
+        path = tmp_path / f"{name}.json"
+        assert run_cli(capsys, "emit-ir", name, "--out", str(path))[0] == 0
+        flags = ("--shots", "300", "--seed", "9", "--output", output)
+        for argv in (("run", name), ("run-ir", str(path))):
+            status, out, _ = run_cli(capsys, *argv, *flags)
+            assert status == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == STREAM_DIGESTS[output][name], argv
+
+
 class TestIrRoundTrip:
     def test_emit_then_run_matches_run(self, tmp_path, capsys):
         for name in EXAMPLES:
@@ -282,8 +362,9 @@ def fuzz_slots(doc):
     return slots
 
 
-# One value of each JSON type, plus arrays and an integer past any index.
-WRONG_TYPES = [None, True, 1.5, "x", [], [0], [True], {}, 10**30]
+# One value of each JSON type, plus arrays, an integer past any index, and two
+# values long enough that an error message quoting them whole would flood.
+WRONG_TYPES = [None, True, 1.5, "x", [], [0], [True], {}, 10**30, [0] * 100_000, "x" * 100_000]
 
 
 def value_paths(node, path=()):
@@ -358,6 +439,7 @@ class TestHostileInput:
                 assert status in (0, 1, 2) and "Traceback" not in err, (keys, value)
                 if status == 1:
                     assert err.startswith("error: ") and err.count("\n") == 1, (keys, value)
+                    assert len(err.rstrip("\n")) <= 200, (keys, err[:200])
 
     @given(st.data())
     @settings(max_examples=200)

@@ -25,6 +25,17 @@ def test_bell_round_trip_is_structurally_equal():
     assert deserialize(serialize(code)) == code
 
 
+def test_layout_is_one_compact_line_and_indented_documents_decode():
+    p = new_process()
+    a, b = p.alloc(2)
+    qvm.rx(0.25, a)
+    p.branch(p.measure([a]), 1, lambda: qvm.x(b))
+    code = p.code
+    data = serialize(code)
+    assert data.endswith(b"\n") and data.count(b"\n") == 1 and b" " not in data
+    assert deserialize(json.dumps(json.loads(data), indent=2)) == code  # indented documents stay readable
+
+
 def test_document_shape_matches_contract():
     doc = json.loads(serialize(bell_code()))
     assert doc["version"] == 1
