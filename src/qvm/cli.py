@@ -58,13 +58,16 @@ def _run_code(code: QuantumCode, args: argparse.Namespace) -> int:
     counts: Counter[tuple[int, ...]] = Counter()
     for shot in range(args.shots):
         result = execute(code, args.seed + shot)
+        if shot == 0 and (args.output == "human" or args.format):
+            # JSON output prints none of these; rendering them checks that --format fits
+            sections = [show(result.dumps[dump_id], spec) for dump_id in sorted(result.dumps)]
         if args.output == "json":
             print(json.dumps(_result_json(result)))
         else:
-            if shot == 0:
-                sections = [show(result.dumps[dump_id], spec) for dump_id in sorted(result.dumps)]
             counts[tuple(result.futures[fid] for fid in range(code.num_futures))] += 1
-    if code.num_futures and args.output == "human":
+    if args.output == "json":
+        return 0
+    if code.num_futures:
         sections.append("\n".join(
             f"{' '.join(str(v) for v in key)}: {count} ({count / args.shots * 100:.2f}%)"
             for key, count in sorted(counts.items())

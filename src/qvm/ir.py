@@ -75,7 +75,10 @@ MAX_DEPTH = 300
 
 def short_repr(value) -> str:
     """``repr(value)`` cut to at most 80 characters, so a hostile value cannot flood a message."""
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # an integer past the interpreter's limit on digits to print
+        return f"<unprintable {type(value).__name__}>"
     return text if len(text) <= 80 else text[:77] + "..."
 
 
@@ -195,27 +198,11 @@ class QuantumCode:
                 elif isinstance(ins, Measure):
                     if len(blocks) > 1:
                         raise MalformedCode("measurement inside a conditioned block")
-                    _check_type(ins.qubits, tuple, "measure qubits")
-                    _check_indices(ins.qubits, allocated, "measure")
-                    if not ins.qubits:
-                        raise MalformedCode("measure covers no qubits")
-                    if not _is_int(ins.future):
-                        raise MalformedCode(f"future id must be an integer, got {short_repr(ins.future)}")
-                    if ins.future in futures:
-                        raise MalformedCode(f"future id {short_repr(ins.future)} produced twice")
-                    futures.add(ins.future)
+                    _check_readout(ins.qubits, allocated, "measure", ins.future, "future", futures)
                 elif isinstance(ins, Dump):
                     if len(blocks) > 1:
                         raise MalformedCode("dump inside a conditioned block")
-                    _check_type(ins.qubits, tuple, "dump qubits")
-                    _check_indices(ins.qubits, allocated, "dump")
-                    if not ins.qubits:
-                        raise MalformedCode("dump covers no qubits")
-                    if not _is_int(ins.dump):
-                        raise MalformedCode(f"dump id must be an integer, got {short_repr(ins.dump)}")
-                    if ins.dump in dumps:
-                        raise MalformedCode(f"dump id {short_repr(ins.dump)} produced twice")
-                    dumps.add(ins.dump)
+                    _check_readout(ins.qubits, allocated, "dump", ins.dump, "dump", dumps)
                 elif isinstance(ins, Branch):
                     _check_type(ins.condition, Condition, "branch condition")
                     _check_type(ins.body, tuple, "branch body")
@@ -280,6 +267,18 @@ def _check_indices(qubits: Sequence[int], allocated: int, what: str) -> None:
             raise MalformedCode(f"{what} references qubit {short_repr(q)}, only {allocated} allocated")
     if len(set(qubits)) != len(qubits):
         raise MalformedCode(f"{what} lists a qubit more than once")
+
+
+def _check_readout(qubits, allocated: int, what: str, rid, kind: str, seen: set[int]) -> None:
+    _check_type(qubits, tuple, f"{what} qubits")
+    _check_indices(qubits, allocated, what)
+    if not qubits:
+        raise MalformedCode(f"{what} covers no qubits")
+    if not _is_int(rid):
+        raise MalformedCode(f"{kind} id must be an integer, got {short_repr(rid)}")
+    if rid in seen:
+        raise MalformedCode(f"{kind} id {short_repr(rid)} produced twice")
+    seen.add(rid)
 
 
 class ProcessState(Enum):
@@ -418,6 +417,15 @@ class Process:
         if not isinstance(handle, QubitHandle) or handle.process is not self:
             raise InvalidHandle(f"{handle!r} does not belong to process {self.id}")
 
+    def _own_indices(self, handles: Sequence[QubitHandle], what: str) -> tuple[int, ...]:
+        self._require_building()
+        handles = tuple(handles)
+        if not handles:
+            raise ValueError(f"{what} needs at least one qubit")
+        for handle in handles:
+            self._require_own(handle)
+        return tuple(h.index for h in handles)
+
     def _top(self) -> _Scope:
         return self._scopes[-1] if self._scopes else self._root
 
@@ -442,13 +450,17 @@ class Process:
     # -- builder operations -----------------------------------------------
 
     def alloc(self, count: int) -> list[QubitHandle]:
-        """Allocate ``count`` fresh qubits in |0⟩ and return their handles."""
+        """Allocate ``count`` fresh qubits in |0⟩ and return their handles, up to ``MAX_QUBITS`` in all."""
         self._require_building()
         self._require_no_scopes("allocation")
         if not _is_int(count):
             raise TypeError(f"allocation count must be an integer, got {count!r}")
         if count < 1:
             raise ValueError(f"allocation count must be >= 1, got {count}")
+        if self.num_qubits + count > MAX_QUBITS:
+            raise ValueError(
+                f"{self.num_qubits} qubits and {short_repr(count)} more exceed the limit of {MAX_QUBITS}"
+            )
         start = self.num_qubits
         self.num_qubits += count
         self._instructions.append(Alloc(count))
@@ -470,13 +482,7 @@ class Process:
 
     def ctrl_begin(self, controls: Sequence[QubitHandle]) -> None:
         """Open a control scope: gates recorded until ``ctrl_end`` gain these controls."""
-        self._require_building()
-        handles = tuple(controls)
-        if not handles:
-            raise ValueError("control scope needs at least one qubit")
-        for handle in handles:
-            self._require_own(handle)
-        indices = tuple(h.index for h in handles)
+        indices = self._own_indices(controls, "control scope")
         active = self._top().controls
         seen: set[int] = set()
         for idx in indices:
@@ -544,14 +550,8 @@ class Process:
         return DumpSnapshot(self, dump_id)
 
     def _check_qubit_list(self, qubits, what: str) -> tuple[int, ...]:
-        self._require_building()
-        handles = (qubits,) if isinstance(qubits, QubitHandle) else tuple(qubits)
-        if not handles:
-            raise ValueError(f"{what} needs at least one qubit")
-        for handle in handles:
-            self._require_own(handle)
+        indices = self._own_indices((qubits,) if isinstance(qubits, QubitHandle) else qubits, what)
         self._require_no_scopes(what)
-        indices = tuple(h.index for h in handles)
         if len(set(indices)) != len(indices):
             raise ValueError(f"{what} lists a qubit more than once")
         return indices

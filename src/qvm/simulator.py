@@ -85,25 +85,6 @@ _IN_PLACE_MIN = 1 << 11
 # gates or qubit patterns than this recomputes the least recently used.
 _CACHE_SIZE = 1024
 
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-
-def _read_only(matrix: np.ndarray) -> np.ndarray:
-    matrix.setflags(write=False)
-    return matrix
-
-
-_FIXED_MATRICES = {
-    kind: _read_only(np.array(rows, dtype=complex))
-    for kind, rows in (
-        (GateKind.PAULI_X, [[0, 1], [1, 0]]),
-        (GateKind.PAULI_Y, [[0, -1j], [1j, 0]]),
-        (GateKind.PAULI_Z, [[1, 0], [0, -1]]),
-        (GateKind.HADAMARD, [[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]]),
-    )
-}
-
-
 # Equal gates have equal matrices, so the cache cannot change a result.  Angles
 # of +0.0 and -0.0 compare equal and share an entry; the two matrices differ
 # at most in the signs of zeros, and both are the identity, which the
@@ -117,22 +98,29 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     RZ(θ) = diag(e^{-iθ/2}, e^{iθ/2}), Phase(λ) = diag(1, e^{iλ}).
     The inverse gate's matrix is the conjugate transpose.
     """
-    if gate.kind in _FIXED_MATRICES:
-        return _FIXED_MATRICES[gate.kind]
-    t = gate.angle
-    if gate.kind is GateKind.RX:
+    kind, t = gate.kind, gate.angle
+    if kind is GateKind.PAULI_X:
+        rows = [[0, 1], [1, 0]]
+    elif kind is GateKind.PAULI_Y:
+        rows = [[0, -1j], [1j, 0]]
+    elif kind is GateKind.PAULI_Z:
+        rows = [[1, 0], [0, -1]]
+    elif kind is GateKind.HADAMARD:
+        s = 1.0 / math.sqrt(2.0)
+        rows = [[s, s], [s, -s]]
+    elif kind is GateKind.RX:
         c, s = math.cos(t / 2), math.sin(t / 2)
         rows = [[c, -1j * s], [-1j * s, c]]
-    elif gate.kind is GateKind.RY:
+    elif kind is GateKind.RY:
         c, s = math.cos(t / 2), math.sin(t / 2)
         rows = [[c, -s], [s, c]]
-    elif gate.kind is GateKind.RZ:
+    elif kind is GateKind.RZ:
         rows = [[cmath.exp(-0.5j * t), 0], [0, cmath.exp(0.5j * t)]]
-    elif gate.kind is GateKind.PHASE:
+    else:  # ``Gate`` admits no kind but these eight
         rows = [[1, 0], [0, cmath.exp(1j * t)]]
-    else:
-        raise ValueError(f"no matrix for gate {gate!r}")
-    return _read_only(np.array(rows, dtype=complex))
+    matrix = np.array(rows, dtype=complex)
+    matrix.setflags(write=False)
+    return matrix
 
 
 @dataclass

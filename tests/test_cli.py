@@ -238,11 +238,13 @@ class TestShotStream:
         assert run_cli(capsys, *argv, "10") == (2, first_three, "engine failure: shot failed\n")
         assert first_three.count("\n") == 3 and len(alive) == 4
 
-    def test_format_that_does_not_fit_fails_after_one_shot(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("output", ["human", "json"])
+    def test_format_that_does_not_fit_fails_after_one_shot(self, monkeypatch, capsys, output):
         alive = self.watch_execute(monkeypatch)
-        status, out, err = run_cli(capsys, "run", "bell", "--shots", "1000", "--format", "b1")
+        argv = ("run", "bell", "--shots", "1000", "--format", "b1", "--output", output)
+        status, out, err = run_cli(capsys, *argv)
         assert (status, out, len(alive)) == (1, "", 1)
-        assert err.startswith("error: ")
+        assert err == "error: format covers 1 qubits, snapshot has 2\n"
 
     @pytest.mark.parametrize("output", sorted(STREAM_DIGESTS))
     @pytest.mark.parametrize("name", sorted(EXAMPLES))

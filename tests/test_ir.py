@@ -67,7 +67,8 @@ class TestProcessBasics:
             new_process().alloc(0)
 
     @pytest.mark.parametrize(
-        "count, error", [(2.0, TypeError), (True, TypeError), (0, ValueError)]
+        "count, error",
+        [(2.0, TypeError), (True, TypeError), (0, ValueError), (24, ValueError), (10**6, ValueError)],
     )
     def test_failed_alloc_changes_nothing(self, count, error):
         p = new_process()
@@ -77,6 +78,31 @@ class TestProcessBasics:
         assert p.num_qubits == 1
         assert p.code == qvm.QuantumCode(1, (Alloc(1),))
         assert [h.index for h in p.alloc(1)] == [1]
+
+    def test_alloc_past_the_qubit_limit_names_the_limit(self):
+        p = new_process()
+        p.alloc(20)
+        with pytest.raises(ValueError, match="^20 qubits and 5 more exceed the limit of 24$"):
+            p.alloc(5)
+        assert [h.index for h in p.alloc(4)] == [20, 21, 22, 23]
+
+    def test_repr_names_id_qubit_count_and_state(self):
+        p = new_process()
+        p.alloc(2)
+        assert repr(p) == f"Process(id={p.id}, qubits=2, state=building)"
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            (Alloc(1), Measure((0,), 0)),
+            qvm.QuantumCode(1, (Alloc(1), Measure((0,), 0)), num_futures=2),
+            qvm.QuantumCode(1, (Alloc(1),), num_futures=1),
+        ],
+        ids=["not-a-code", "other-header", "fewer-instructions"],
+    )
+    def test_code_differs_from(self, other):
+        code = qvm.QuantumCode(1, (Alloc(1), Measure((0,), 0)), num_futures=1)
+        assert not code == other and code != other
 
     def test_handles_compare_by_process_and_index(self):
         p = new_process()
@@ -118,6 +144,13 @@ class TestApplyGate:
         (q,) = other.alloc(1)
         with pytest.raises(InvalidHandle):
             p.apply_gate(GATE_H, q)
+
+    def test_non_gate_rejected(self):
+        p = new_process()
+        (q,) = p.alloc(1)
+        with pytest.raises(TypeError, match="^expected a Gate, got 'x'$"):
+            p.apply_gate("x", q)
+        assert p.code.instructions == (Alloc(1),)
 
     def test_gate_records_active_controls(self):
         p = new_process()
@@ -598,6 +631,37 @@ class TestMeasureAndFutures:
         with pytest.raises(ValueError):
             p.measure([a, a])
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda p: p.ctrl_begin([]), "control scope needs at least one qubit"),
+            (lambda p: p.measure([]), "measure needs at least one qubit"),
+            (lambda p: p.dump_state([]), "dump needs at least one qubit"),
+            (lambda p: qvm.measure(), "measure needs at least one qubit"),
+            (lambda p: qvm.dump(), "dump needs at least one qubit"),
+        ],
+        ids=["ctrl_begin", "measure", "dump_state", "qvm.measure", "qvm.dump"],
+    )
+    def test_empty_qubit_list_rejected(self, call, message):
+        p = new_process()
+        p.alloc(1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(p)
+        assert p.code == qvm.QuantumCode(1, (Alloc(1),))
+        assert p._scopes == []
+
+    @pytest.mark.parametrize("readout, op", [(qvm.measure, Measure), (qvm.dump, qvm.Dump)])
+    def test_module_level_readout_records_on_the_handles_process(self, readout, op):
+        p = new_process()
+        a, b = p.alloc(2)
+        readout(b, a)
+        assert p.code.instructions[-1] == op((1, 0), 0)
+
+    @pytest.mark.parametrize("readout", [qvm.measure, qvm.dump])
+    def test_module_level_readout_rejects_a_non_handle(self, readout):
+        with pytest.raises(InvalidHandle, match="^0 is not a qubit handle$"):
+            readout(0)
+
     def test_qubits_stay_usable_after_measure(self):
         p = new_process()
         (a,) = p.alloc(1)
@@ -667,6 +731,26 @@ class TestInvalidationAfterExecution:
         p, _, _, f_b = self._executed_process()
         assert f_b.value in (0, 1)
 
+    def test_dump_cached_is_none_until_execution(self):
+        p = new_process()
+        (q,) = p.alloc(1)
+        snap = p.dump_state([q])
+        assert snap.cached is None
+        assert p.state is qvm.ProcessState.BUILDING  # reading it executed nothing
+        data = snap.data
+        assert snap.cached is data
+
+    def test_execute_with_an_open_scope_fails_and_keeps_building(self):
+        p = new_process()
+        (q,) = p.alloc(1)
+        f = p.measure([q])
+        p.adj_begin()
+        with pytest.raises(ScopeViolation, match="^cannot execute with open scopes$"):
+            f.value
+        assert p.state is qvm.ProcessState.BUILDING
+        p.adj_end()
+        assert f.value == 0
+
     def test_dump_read_twice_single_execution(self):
         calls = []
 
@@ -735,6 +819,15 @@ class TestBranch:
         f = p.measure([a])
         with pytest.raises(TypeError):
             p.branch(f, equals, lambda: qvm.x(a))
+        assert p.code.instructions[1:] == (Measure((0,), 0),)
+        assert p._scopes == []
+
+    def test_negative_literal_rejected(self):
+        p = new_process()
+        (a,) = p.alloc(1)
+        f = p.measure([a])
+        with pytest.raises(ValueError, match="^condition literal must be non-negative$"):
+            p.branch(f, -1, lambda: qvm.x(a))
         assert p.code.instructions[1:] == (Measure((0,), 0),)
         assert p._scopes == []
 
@@ -813,6 +906,10 @@ VALIDATE_RULES = {
         "allocation inside a conditioned block",
     ),
     "alloc-zero": (qvm.QuantumCode(0, (Alloc(0),)), "allocation count must be >= 1, got 0"),
+    "alloc-past-the-digit-limit": (
+        qvm.QuantumCode(1, (Alloc(10**5000),)),
+        "program allocates <unprintable int> qubits, more than the limit of 24",
+    ),
     "alloc-over-limit": (
         qvm.QuantumCode(25, (Alloc(20), Alloc(5))),
         "program allocates 25 qubits, more than the limit of 24",

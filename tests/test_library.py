@@ -116,6 +116,10 @@ class TestQft:
         reverse = [int(format(i, "03b")[::-1], 2) for i in range(8)]
         assert np.abs(got[reverse, :] - reference).max() < 1e-10
 
+    def test_needs_a_qubit(self):
+        with pytest.raises(ValueError, match="^qft needs at least one qubit$"):
+            qvm.qft([])
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_qft_followed_by_adjoint_is_identity(self, n):
         def build(qs):
@@ -220,3 +224,18 @@ class TestBuilderPurity:
             qvm.z(qs[2])
         kinds = {type(ins) for ins in p.code.instructions}
         assert kinds == {qvm.Alloc, qvm.GateApp}
+
+    @pytest.mark.parametrize(
+        "routine, kind",
+        [
+            (qvm.x, GateKind.PAULI_X),
+            (qvm.y, GateKind.PAULI_Y),
+            (qvm.z, GateKind.PAULI_Z),
+            (qvm.h, GateKind.HADAMARD),
+        ],
+    )
+    def test_fixed_gate_records_one_gate_and_returns_its_handle(self, routine, kind):
+        p = new_process()
+        _, q = p.alloc(2)
+        assert routine(q) is q
+        assert p.code.instructions[1:] == (qvm.GateApp(Gate(kind), 1),)

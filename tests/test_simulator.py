@@ -234,6 +234,16 @@ class TestApplyKernel:
         assert abs(state.norm_sq() - 1.0) < 1e-12
 
 
+class FixedDraw:
+    """Stands in for the generator: every ``uniform()`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
 class TestMeasureKernel:
     def bell_state(self):
         state = StateVector.zero(2)
@@ -272,6 +282,17 @@ class TestMeasureKernel:
         state = StateVector(1, np.zeros(2, dtype=complex))
         with pytest.raises(DegenerateState):
             measure_kernel(state, (0,), Xoshiro256StarStar(0))
+
+    def test_draw_past_an_unnormalized_total_takes_the_last_possible_outcome(self):
+        state = StateVector(2, np.array([0.5, 0.5, 0, 0], dtype=complex))  # total 0.5
+        outcome, collapsed = measure_kernel(state, (0, 1), FixedDraw(0.9))
+        assert outcome == 1
+        np.testing.assert_array_equal(collapsed.amps, [0, 1, 0, 0])
+
+    def test_sampled_outcome_without_probability_is_degenerate(self):
+        state = StateVector(1, np.array([1e-7, 1], dtype=complex))  # p(0) = 1e-14
+        with pytest.raises(DegenerateState, match="^sampled outcome 0 has probability "):
+            measure_kernel(state, (0,), FixedDraw(0.0))
 
     def test_matches_per_index_oracle_on_300_random_cases(self):
         rng = np.random.default_rng(2210)
@@ -312,6 +333,10 @@ class TestExtractDump:
         assert [b for b, _ in data.basis_states] == [0, 3]
         for _, amp in data.basis_states:
             assert abs(amp - SQRT1_2) < 1e-12
+
+    def test_empty_selection_rejected(self):
+        with pytest.raises(ValueError, match="^dump selection is empty$"):
+            extract_dump(StateVector.zero(1), ())
 
     def test_single_qubit_of_bell_pair_is_entangled(self):
         state = StateVector(2, np.array([SQRT1_2, 0, 0, SQRT1_2], dtype=complex))
