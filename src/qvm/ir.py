@@ -169,10 +169,20 @@ class QuantumCode:
         up to that point in program order, so a gate can never run before
         its qubit exists.  Any field of the wrong type or shape, such as a
         list where the dataclass declares a tuple, raises MalformedCode too.
+
+        A code that passes remembers it, and later calls return at once, if
+        the code, every instruction, ``Gate`` and ``Condition`` is of its
+        exact class and every container an exact ``tuple``: these are frozen,
+        so such a code cannot change.  Otherwise, as with a tuple subclass
+        that could yield other items on a later pass, every call checks in
+        full.  A failed check is never remembered.
         """
+        if self.__dict__.get("_valid"):
+            return
         if not all(map(_is_int, (self.num_qubits, self.num_futures, self.num_dumps))):
             raise MalformedCode("header counts must be integers")
         _check_type(self.instructions, tuple, "program instructions")
+        exact = self.__class__ is QuantumCode and self.instructions.__class__ is tuple
         allocated = 0
         futures: set[int] = set()
         dumps: set[int] = set()
@@ -180,12 +190,16 @@ class QuantumCode:
         while blocks:
             for ins in blocks[-1]:
                 if isinstance(ins, GateApp):  # first: most instructions are gates
-                    if not isinstance(ins.gate, Gate):
-                        raise MalformedCode("gate application without a gate")
-                    if ins.controls.__class__ is not tuple:  # inline, as this runs per gate per shot
+                    if ins.__class__ is not GateApp or ins.gate.__class__ is not Gate:
+                        if not isinstance(ins.gate, Gate):
+                            raise MalformedCode("gate application without a gate")
+                        exact = False
+                    if ins.controls.__class__ is not tuple:  # inline, as this runs per gate
                         _check_type(ins.controls, tuple, "gate controls")
+                        exact = False
                     _check_indices((ins.target, *ins.controls), allocated, "gate")
                 elif isinstance(ins, Alloc):
+                    exact = exact and ins.__class__ is Alloc
                     if len(blocks) > 1:
                         raise MalformedCode("allocation inside a conditioned block")
                     if not _is_int(ins.count) or ins.count < 1:
@@ -199,13 +213,17 @@ class QuantumCode:
                     if len(blocks) > 1:
                         raise MalformedCode("measurement inside a conditioned block")
                     _check_readout(ins.qubits, allocated, "measure", ins.future, "future", futures)
+                    exact = exact and ins.__class__ is Measure and ins.qubits.__class__ is tuple
                 elif isinstance(ins, Dump):
                     if len(blocks) > 1:
                         raise MalformedCode("dump inside a conditioned block")
                     _check_readout(ins.qubits, allocated, "dump", ins.dump, "dump", dumps)
+                    exact = exact and ins.__class__ is Dump and ins.qubits.__class__ is tuple
                 elif isinstance(ins, Branch):
                     _check_type(ins.condition, Condition, "branch condition")
                     _check_type(ins.body, tuple, "branch body")
+                    exact = exact and ins.__class__ is Branch and ins.body.__class__ is tuple
+                    exact = exact and ins.condition.__class__ is Condition
                     if not (_is_int(ins.condition.future) and _is_int(ins.condition.equals)):
                         raise MalformedCode(f"condition must hold integers, got {short_repr(ins.condition)}")
                     if ins.condition.future not in futures:
@@ -231,6 +249,8 @@ class QuantumCode:
             raise MalformedCode("future ids are not exactly 0..num_futures-1")
         if len(dumps) != self.num_dumps or dumps != set(range(self.num_dumps)):
             raise MalformedCode("dump ids are not exactly 0..num_dumps-1")
+        if exact:
+            self.__dict__["_valid"] = True
 
     def __eq__(self, other):
         # a loop, unlike the generated method, so programs MAX_DEPTH deep compare
@@ -415,7 +435,7 @@ class Process:
 
     def _require_own(self, handle: QubitHandle) -> None:
         if not isinstance(handle, QubitHandle) or handle.process is not self:
-            raise InvalidHandle(f"{handle!r} does not belong to process {self.id}")
+            raise InvalidHandle(f"{short_repr(handle)} does not belong to process {self.id}")
 
     def _own_indices(self, handles: Sequence[QubitHandle], what: str) -> tuple[int, ...]:
         self._require_building()
@@ -454,7 +474,7 @@ class Process:
         self._require_building()
         self._require_no_scopes("allocation")
         if not _is_int(count):
-            raise TypeError(f"allocation count must be an integer, got {count!r}")
+            raise TypeError(f"allocation count must be an integer, got {short_repr(count)}")
         if count < 1:
             raise ValueError(f"allocation count must be >= 1, got {count}")
         if self.num_qubits + count > MAX_QUBITS:
@@ -471,7 +491,7 @@ class Process:
         self._require_building()
         self._require_own(target)
         if not isinstance(gate, Gate):
-            raise TypeError(f"expected a Gate, got {gate!r}")
+            raise TypeError(f"expected a Gate, got {short_repr(gate)}")
         top = self._top()
         if target.index in top.controls:
             raise ControlTargetOverlap(
@@ -564,9 +584,9 @@ class Process:
         """
         self._require_building()
         if not isinstance(future, FutureValue) or future.process is not self:
-            raise UnknownFuture(f"{future!r} was not produced by process {self.id}")
+            raise UnknownFuture(f"{short_repr(future)} was not produced by process {self.id}")
         if not _is_int(equals):
-            raise TypeError(f"condition literal must be an integer, got {equals!r}")
+            raise TypeError(f"condition literal must be an integer, got {short_repr(equals)}")
         if equals < 0:
             raise ValueError("condition literal must be non-negative")
         if self._top().guard in ("control", "adjoint"):
@@ -606,7 +626,7 @@ def _process_of(qubits: Sequence[QubitHandle], what: str) -> Process:
         raise ValueError(f"{what} needs at least one qubit")
     first = qubits[0]
     if not isinstance(first, QubitHandle):
-        raise InvalidHandle(f"{first!r} is not a qubit handle")
+        raise InvalidHandle(f"{short_repr(first)} is not a qubit handle")
     return first.process
 
 

@@ -5,38 +5,45 @@ the leftmost symbol in |...⟩ labels and the most significant bit of
 measurement outcomes.  The kernels read the same amplitudes as a ``(2,)*n``
 array whose axis ``i`` is qubit ``i``.  That array is a reshape of the flat
 vector, so it is a view, and slicing an axis to ``0:1`` or ``1:2`` selects
-the half of the state in which that qubit reads 0 or 1, again as a view:
+the half of the state in which that qubit reads 0 or 1, again as a view.
 
-- A gate takes one pair view, with every control axis at ``1:2`` and the
-  target axis moved to the front, so ``pair[:1]`` and ``pair[1:]`` are the
-  sides in which the target reads 0 and 1.  Its index and axis order come
-  from a bounded cache keyed by ``(n, target, controls)``, and the gate
-  updates the view in place.  A diagonal matrix (Z, RZ, phase and their
+- A gate touches the pairs of amplitudes that differ in the target bit and
+  have every control bit set; the *sides* are the halves of those pairs in
+  which the target reads 0 and 1.  A diagonal matrix (Z, RZ, phase and their
   controlled forms, most of a QFT) only scales the sides whose factor is not
   exactly 1.  An anti-diagonal one (X, Y, CNOT and any multi-controlled X)
-  assigns the pair reversed along the target axis, times the factors
-  ``(m01, m10)`` unless it is an X.  Any other matrix (H, RX, RY) forms the
-  four products ``m[i, j] * a_j`` in one broadcast multiply and sums them in
-  pairs into the view when its sides are small; on sides of
-  ``_IN_PLACE_MIN`` amplitudes or more it copies one side and writes both in
-  place through one more half-state buffer, with the same products and sums
-  bit for bit.
+  swaps the sides, times the factors ``(m01, m10)`` unless it is an X.  Any
+  other matrix (H, RX, RY) forms the products ``m[i, j] * a_j`` and sums
+  them in pairs.  Two forms do this, with the same products and sums bit for
+  bit.  Sides of fewer than ``_IN_PLACE_MIN`` amplitudes are gathered by
+  flat index, from a bounded cache keyed by ``(n, target, controls)``, into
+  a contiguous ``(2, half)`` array, and the result is scattered back; a
+  dense gate forms all four products in one broadcast multiply.  Larger
+  sides are one pair view, with every control axis at ``1:2`` and the target
+  axis moved to the front, its index and axis order again from a cache, and
+  a dense gate copies one side and writes both in place through one more
+  half-state buffer.
 - A measurement sums ``|amplitude|²`` over the unmeasured axes, samples an
   outcome, and keeps only that outcome's slice.
 - A dump checks every group of amplitudes (one per pattern of the unselected
   qubits) against one reference group in a single rank-1 residual.
 
-Temporary memory per call, for a state of S = 16·2^n bytes: a diagonal gate
-allocates nothing; an anti-diagonal one at most S (the scaled pair, or for
-an X numpy's copy of the reversed pair, which overlaps its destination), and
-a dense one in place at most S (the copy of one side and one product), each
-plus numpy's iteration buffers of 8192 amplitudes per strided operand; a
-dense one with small sides at most 2·S (the four products); a measurement at
-most S (the squared magnitudes, then the kept slice); and a dump at most
-2·S (a copy of the groups where their layout is not a view of the state,
-and one buffer for projections and residuals).
+Temporary memory per call, for a state of S = 16·2^n bytes.  On gathered
+sides, whose state is under 64 KiB: a diagonal gate at most 0.5·S (one
+gathered side), an anti-diagonal one at most 1.5·S (the gathered pair and
+one product), and a dense one at most 3·S (the gathered pair, then the four
+products and their sums); each cached index entry keeps 2^n indices of 8
+bytes.  On a pair view: a diagonal gate allocates nothing; an anti-diagonal
+one at most S (the scaled pair, or for an X numpy's copy of the reversed
+pair, which overlaps its destination), and a dense one at most S (the copy
+of one side and one product), each plus numpy's iteration buffers of 8192
+amplitudes per strided operand.  A measurement takes at most S (the squared
+magnitudes, then the kept slice), and a dump at most 2·S (a copy of the
+groups where their layout is not a view of the state, and one buffer for
+projections and residuals).
 
-``execute`` loops over a stack of open blocks, with no recursion and no closure.
+``execute`` runs a flat tuple of ops, lowered once per code object, in which
+a conditioned block is a forward jump: no recursion and no closure.
 
 Execution is a pure function of ``(code, seed)``: one xoshiro256** stream per
 run, advanced by exactly one draw per measurement, with the outcome chosen
@@ -60,7 +67,7 @@ from .errors import (
     IndexOutOfRange,
     IndexOverlap,
 )
-from .ir import Alloc, Branch, Dump, Gate, GateApp, GateKind, Measure, QuantumCode
+from .ir import Alloc, Dump, Gate, GateApp, GateKind, Measure, QuantumCode
 from .rng import Xoshiro256StarStar
 
 # Amplitudes below this magnitude are treated as zero when snapshotting.
@@ -70,20 +77,27 @@ DUST = 1e-12
 # integer, so indexing every axis still yields a view.
 _READS = (slice(0, 1), slice(1, 2))
 
-# Dense gates whose sides hold at least this many amplitudes (32 KiB) update
-# them in place, in six ufunc calls through one half-state buffer.  Smaller
-# ones take two calls, a broadcast multiply into a fresh array of all four
-# products and one add, and that array grows with the view.  Per RY with 0-2
-# controls on a 2-vCPU x86-64 host, averaged over targets, the two-call form
-# took 0.56-0.77x the in-place time on sides of 2^5-2^8 amplitudes, 0.73-1.02x
-# on 2^9-2^10, 1.04-1.27x on 2^11, and up to 3.9x on 2^12, where its array
-# and numpy's iteration buffers reach glibc's 128 KiB mmap threshold.
+# Gates whose sides hold at least this many amplitudes (32 KiB) work on a
+# strided view of the state, and a dense one updates it in place, in six ufunc
+# calls through one half-state buffer.  Smaller ones gather their pairs by
+# flat index into a contiguous ``(2, half)`` array and scatter the result
+# back; a dense one forms all four products in one broadcast multiply, an
+# array twice the state, and adds them in pairs.  Per RY with 0-1 controls
+# on a 2-vCPU x86-64 host, averaged over targets, the gathered form took
+# 0.4-0.75x the in-place time on sides of 2^7-2^10 amplitudes, and up to 2.6x
+# on 2^11, where its product array reaches glibc's 128 KiB mmap threshold.
+# An X gathered took 0.8-1.6x the view's time on sides of 2^7-2^10.
 _IN_PLACE_MIN = 1 << 11
 
-# Entries kept by each of the two caches below: gate matrices by gate, and
-# pair-view indices by (n, target, controls).  A program with more distinct
-# gates or qubit patterns than this recomputes the least recently used.
+# Entries kept by the caches of gate matrices by gate and of pair views by
+# (n, target, controls).  A program with more distinct gates or qubit patterns
+# than this recomputes the least recently used.
 _CACHE_SIZE = 1024
+
+# Entries kept by the cache of gathered pair indices.  Its largest entry, at
+# sides of _IN_PLACE_MIN / 2, is 2^11 indices of 8 bytes (16 KiB) plus under
+# 1 KiB of array headers, so at this size it holds at most about 4.3 MiB.
+_GATHER_CACHE_SIZE = 256
 
 # Equal gates have equal matrices, so the cache cannot change a result.  Angles
 # of +0.0 and -0.0 compare equal and share an entry; the two matrices differ
@@ -189,19 +203,35 @@ def _check_qubits(n: int, qubits: tuple[int, ...], overlap: str) -> None:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _pair_index(n: int, target: int, controls: tuple[int, ...]):
-    """Index, axis order and half size of a gate's pair view.
+    """Index and axis order of a gate's pair view.
 
     ``state.tensor()[index].transpose(perm)`` holds every amplitude the gate
-    touches, with the target axis first; ``half`` is the size of either side.
-    The qubit checks run on a miss, and a failing one raises, so only valid
-    triples are cached.
+    touches, with the target axis first.  The qubit checks run on a miss, and
+    a failing one raises, so only valid triples are cached.
     """
     _check_qubits(n, (target, *controls), f"target {target} and controls {controls} overlap")
     index = [slice(None)] * n
     for c in controls:
         index[c] = _READS[1]
     perm = (target, *(q for q in range(n) if q != target))
-    return tuple(index), perm, 1 << (n - 1 - len(controls))
+    return tuple(index), perm
+
+
+@functools.lru_cache(maxsize=_GATHER_CACHE_SIZE)
+def _pair_gather(n: int, target: int, controls: tuple[int, ...]):
+    """Flat indices of a gate's pairs, for sides below ``_IN_PLACE_MIN``.
+
+    ``pairs`` is the pair view of the flat indices, as a ``(2, half)`` array:
+    row 0 lists in ascending order every index whose target bit is 0 and
+    whose control bits are all 1, and row 1 the same indices with the target
+    bit set.  Returns ``pairs``, its two rows and its rows swapped, all views
+    of one read-only array, since numpy is slow to split an array per call.
+    The qubit checks run in ``_pair_index``.
+    """
+    index, perm = _pair_index(n, target, controls)
+    pairs = np.arange(1 << n).reshape((2,) * n)[index].transpose(perm).reshape(2, -1).copy()
+    pairs.setflags(write=False)
+    return pairs, pairs[0], pairs[1], pairs[::-1]
 
 
 def apply_kernel(
@@ -214,11 +244,10 @@ def apply_kernel(
 
     Touches exactly the amplitude pairs that differ in the target bit and
     have every control bit set to 1.  ``matrix`` is only read, so the shared
-    read-only matrices of ``gate_matrix`` serve every call; the checked view
-    index comes from ``_pair_index``'s cache.
+    read-only matrices of ``gate_matrix`` serve every call; the checked
+    indices come from the caches of ``_pair_gather`` and ``_pair_index``.
     """
-    index, perm, half = _pair_index(state.n, target, tuple(controls))
-    pair = state.tensor()[index].transpose(perm)
+    controls = tuple(controls)
     (m00, m01), (m10, m11) = matrix.tolist()
     # Each product puts the factor first and writes to memory apart from its
     # input, or, for a diagonal factor, scales its side in place: numpy's
@@ -228,22 +257,42 @@ def apply_kernel(
     # x86-64 host with AVX-512; it is observed behaviour, not a numpy
     # guarantee.  If the bit-exact pair-oracle test fails after a numpy or CPU
     # change while the amplitudes agree to an ulp, suspect that change first.
+    amps = state.amps
+    # sides of 2^(n-1-c) amplitudes; more controls than qubits fail the checks
+    if len(amps) >> len(controls) < 2 * _IN_PLACE_MIN:
+        pairs, i0, i1, swapped = _pair_gather(state.n, target, controls)
+        if m01 == 0 and m10 == 0:
+            for side, factor in ((i0, m00), (i1, m11)):
+                if factor != 1:
+                    gathered = amps[side]
+                    gathered *= factor
+                    amps[side] = gathered
+        elif m00 == 0 and m11 == 0:
+            if m01 == 1 and m10 == 1:
+                amps[pairs] = amps[swapped]
+            else:
+                reversed_pair = amps[swapped]
+                amps[i0] = m01 * reversed_pair[0]
+                amps[i1] = m10 * reversed_pair[1]
+        else:
+            # all four products m[i, j] * a_j in one fresh array, summed in
+            # pairs; the sum of two terms does not depend on their order, so
+            # this is m00*a0 + m01*a1 and m10*a0 + m11*a1 bit for bit
+            prod = np.multiply(matrix.reshape(2, 2, 1), amps[pairs])
+            amps[pairs] = np.add(prod[:, 0], prod[:, 1])
+        return state
+    index, perm = _pair_index(state.n, target, controls)
+    pair = state.tensor()[index].transpose(perm)
     if m01 == 0 and m10 == 0:
         for side, factor in ((pair[:1], m00), (pair[1:], m11)):
             if factor != 1:
                 np.multiply(side, factor, out=side)
-        return state
-    tail = (1,) * (pair.ndim - 1)
-    if m00 == 0 and m11 == 0:
+    elif m00 == 0 and m11 == 0:
         if m01 == 1 and m10 == 1:
             pair[...] = pair[::-1]
         else:
+            tail = (1,) * (pair.ndim - 1)
             pair[...] = np.multiply(matrix[:, ::-1].diagonal().reshape(2, *tail), pair[::-1])
-    elif half < _IN_PLACE_MIN:
-        # the sum of two terms does not depend on their order, so this is
-        # m00*a0 + m01*a1 and m10*a0 + m11*a1 bit for bit
-        prod = np.multiply(matrix.reshape(2, 2, *tail), pair)
-        np.add(prod[:, 0], prod[:, 1], out=pair)
     else:
         v0, v1 = pair[:1], pair[1:]
         a0 = v0.copy()
@@ -339,6 +388,55 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     return DumpData(qubits, basis_states)
 
 
+# Op kinds of a lowered plan.  Every op is ``(kind, a, b, c, source)``, where
+# ``source`` is the instruction it came from:
+# gate (matrix, target, controls), alloc (count), measure (qubits, future),
+# dump (qubits, dump id), and branch (future, literal, index of the first op
+# after its body), which jumps past its body unless the future equals the literal.
+_GATE, _ALLOC, _MEASURE, _DUMP, _BRANCH = range(5)
+
+
+def _lower(code: QuantumCode) -> tuple:
+    """The ops of a validated code, in program order, with every matrix resolved."""
+    ops: list[tuple] = []
+    blocks, open_branches = [iter(code.instructions)], []
+    while blocks:
+        for ins in blocks[-1]:
+            if isinstance(ins, GateApp):
+                ops.append((_GATE, gate_matrix(ins.gate), ins.target, ins.controls, ins))
+            elif isinstance(ins, Alloc):
+                ops.append((_ALLOC, ins.count, None, None, ins))
+            elif isinstance(ins, Measure):
+                ops.append((_MEASURE, ins.qubits, ins.future, None, ins))
+            elif isinstance(ins, Dump):
+                ops.append((_DUMP, ins.qubits, ins.dump, None, ins))
+            else:  # validated, so a Branch; its op is written when its body ends
+                open_branches.append((len(ops), ins))
+                ops.append(None)
+                blocks.append(iter(ins.body))
+                break
+        else:
+            blocks.pop()
+            if open_branches:
+                at, ins = open_branches.pop()
+                ops[at] = (_BRANCH, ins.condition.future, ins.condition.equals, len(ops), ins)
+    return tuple(ops)
+
+
+def _plan(code: QuantumCode) -> tuple:
+    """``_lower(code)``, kept on the code when ``validate`` remembered it.
+
+    Only a code that ``validate`` remembered cannot change, so any other is
+    lowered again on every call.
+    """
+    plan = code.__dict__.get("_plan")
+    if plan is None:
+        plan = _lower(code)
+        if code.__dict__.get("_valid"):
+            code.__dict__["_plan"] = plan
+    return plan
+
+
 def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
     """Interpret a program deterministically and collect all results.
 
@@ -347,31 +445,33 @@ def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
     ``extract_dump``, and a conditioned block runs iff its future, already
     recorded earlier in the run, equals the literal.  A state whose norm
     drifts from 1 by more than 1e-9 raises EngineFailure.
+
+    Every call validates ``code``; the ops it runs are lowered once per code
+    object (see ``_plan``).  The kernels are looked up when called, never
+    stored in the plan, so a module attribute set in their place is used.
     """
     code.validate()
+    plan = _plan(code)
     state, rng = StateVector.zero(0), Xoshiro256StarStar(seed)
     futures: dict[int, int] = {}
     dumps: dict[int, DumpData] = {}
-    blocks = [iter(code.instructions)]
-    while blocks:
-        for ins in blocks[-1]:
-            if isinstance(ins, Alloc):
-                state.extend(ins.count)
-            elif isinstance(ins, GateApp):
-                apply_kernel(state, gate_matrix(ins.gate), ins.target, ins.controls)
-            elif isinstance(ins, Measure):
-                outcome, _ = measure_kernel(state, ins.qubits, rng)
-                futures[ins.future] = outcome
-            elif isinstance(ins, Dump):
-                dumps[ins.dump] = extract_dump(state, ins.qubits)
-            elif isinstance(ins, Branch):
-                if futures[ins.condition.future] == ins.condition.equals:
-                    blocks.append(iter(ins.body))
-                    break
-                continue  # no state change to re-check
-            norm = state.norm_sq()
-            if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
-                raise EngineFailure(f"state norm drifted by {norm - 1.0:.3g} to {norm} after {ins!r}")
+    pc, end = 0, len(plan)
+    while pc < end:
+        kind, a, b, c, ins = plan[pc]
+        pc += 1
+        if kind == _GATE:
+            apply_kernel(state, a, b, c)
+        elif kind == _BRANCH:
+            if futures[a] != b:
+                pc = c
+            continue  # no state change to re-check
+        elif kind == _MEASURE:
+            futures[b] = measure_kernel(state, a, rng)[0]
+        elif kind == _DUMP:
+            dumps[b] = extract_dump(state, a)
         else:
-            blocks.pop()
+            state.extend(a)
+        norm = state.norm_sq()
+        if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
+            raise EngineFailure(f"state norm drifted by {norm - 1.0:.3g} to {norm} after {ins!r}")
     return ExecutionResult(futures=futures, dumps=dumps)

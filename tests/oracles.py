@@ -3,7 +3,8 @@
 Everything here is built from plain dense linear algebra (tensor products of
 identities and projectors) and never calls the production kernels, except
 where a helper explicitly drives the kernels to assemble a circuit's matrix
-for comparison against these references.
+for comparison against these references.  ``ShiftingTuple`` is a hostile
+container for the tests of what the engine remembers about a program.
 """
 
 from __future__ import annotations
@@ -19,6 +20,19 @@ from qvm.simulator import StateVector, apply_kernel, gate_matrix
 
 I2 = np.eye(2, dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+
+
+class ShiftingTuple(tuple):
+    """A tuple whose iteration yields ``later`` instead of its items from pass ``switch`` on."""
+
+    def __new__(cls, items, later, switch=2):
+        self = super().__new__(cls, items)
+        self.later, self.switch, self.passes = later, switch, 0
+        return self
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.later if self.passes >= self.switch else tuple.__iter__(self))
 
 
 def kron_all(factors) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Builder semantics: handles, scopes, rewrites, and the execution lifecycle."""
 
+import dataclasses
 import math
 import re
 from contextlib import ExitStack
@@ -27,7 +28,7 @@ from qvm import (
     new_process,
 )
 
-from oracles import expand
+from oracles import ShiftingTuple, expand
 
 GATE_H = Gate(GateKind.HADAMARD)
 GATE_X = Gate(GateKind.PAULI_X)
@@ -1040,3 +1041,116 @@ VALIDATE_RULES = {
 def test_validate_rejects_with_its_message(code, message):
     with pytest.raises(qvm.MalformedCode, match=f"^{re.escape(message)}$"):
         code.validate()
+
+
+HUGE = [0] * 100_000
+
+
+def _huge_measure(p, qs):
+    p.measure([HUGE])
+
+
+def _huge_apply_target(p, qs):
+    p.apply_gate(GATE_X, HUGE)
+
+
+def _huge_alloc(p, qs):
+    p.alloc(HUGE)
+
+
+def _huge_gate(p, qs):
+    p.apply_gate(HUGE, qs[0])
+
+
+def _huge_future(p, qs):
+    p.branch(HUGE, 0, lambda: None)
+
+
+def _huge_literal(p, qs):
+    p.branch(p.measure(qs[0]), HUGE, lambda: None)
+
+
+def _huge_module_handle(p, qs):
+    qvm.measure(HUGE)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (_huge_measure, InvalidHandle),
+        (_huge_apply_target, InvalidHandle),
+        (_huge_alloc, TypeError),
+        (_huge_gate, TypeError),
+        (_huge_future, UnknownFuture),
+        (_huge_literal, TypeError),
+        (_huge_module_handle, InvalidHandle),
+    ],
+    ids=lambda value: getattr(value, "__name__", "").removeprefix("_huge_"),
+)
+def test_builder_message_of_a_huge_argument_is_short(call, error):
+    p = new_process()
+    qs = p.alloc(1)
+    with pytest.raises(error) as raised:
+        call(p, qs)
+    assert len(str(raised.value)) <= 200
+
+
+def bell_code():
+    p = new_process()
+    a, b = p.alloc(2)
+    qvm.h(a)
+    with ctrl(a):
+        qvm.x(b)
+    f = p.measure([a])
+    p.branch(f, 1, lambda: qvm.z(b))
+    p.dump_state([b])
+    return p.code
+
+
+class TestRememberedValidation:
+    def test_tuple_subclass_is_checked_again_on_every_call(self):
+        bad_later = (Alloc(1), GateApp(GATE_X, 3))
+        code = qvm.QuantumCode(1, ShiftingTuple((Alloc(1), GateApp(GATE_X, 0)), bad_later))
+        code.validate()
+        with pytest.raises(qvm.MalformedCode, match="^gate references qubit 3, only 1 allocated$"):
+            code.validate()
+
+    def test_tuple_subclass_body_is_checked_again(self):
+        body = ShiftingTuple((GateApp(GATE_X, 0),), (GateApp(GATE_X, 2),))
+        code = qvm.QuantumCode(1, (*MEASURED, qvm.Branch(ON_0, body)), num_futures=1)
+        code.validate()
+        with pytest.raises(qvm.MalformedCode, match="references qubit 2"):
+            code.validate()
+
+    def test_failed_validation_is_not_remembered(self):
+        # bad on the first pass, good on the second: the failure must not stick
+        code = qvm.QuantumCode(1, ShiftingTuple((Alloc(2),), (Alloc(1),)))
+        with pytest.raises(qvm.MalformedCode):
+            code.validate()
+        code.validate()
+        exact = qvm.QuantumCode(2, (Alloc(1),))
+        for _ in range(2):
+            with pytest.raises(qvm.MalformedCode, match="header says 2"):
+                exact.validate()
+            with pytest.raises(qvm.MalformedCode):
+                qvm.execute(exact)
+
+    def test_remembered_code_compares_serializes_and_round_trips_as_before(self):
+        code, fresh = bell_code(), bell_code()
+        text = qvm.serialize(fresh)
+        for _ in range(3):
+            code.validate()
+        assert code == fresh and hash(code) == hash(fresh) and repr(code) == repr(fresh)
+        assert qvm.serialize(code) == text
+        assert qvm.deserialize(qvm.serialize(code)) == code
+        assert qvm.execute(code, 7) == qvm.execute(fresh, 7)
+
+    def test_replace_gives_a_code_that_validates_afresh(self):
+        code = bell_code()
+        code.validate()
+        with pytest.raises(qvm.MalformedCode, match="header says 3"):
+            dataclasses.replace(code, num_qubits=3).validate()
+        broken = dataclasses.replace(code, instructions=(*code.instructions, GateApp(GATE_X, 2)))
+        with pytest.raises(qvm.MalformedCode, match="references qubit 2"):
+            broken.validate()
+        dataclasses.replace(code).validate()
