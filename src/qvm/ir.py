@@ -162,95 +162,123 @@ class QuantumCode:
     num_futures: int = 0
     num_dumps: int = 0
 
-    def validate(self) -> None:
-        """Check structural well-formedness; raise MalformedCode otherwise.
+    def validate(self) -> tuple:
+        """Check structural well-formedness and return the program's flat ops.
 
-        Qubit references are checked against the number of qubits allocated
-        up to that point in program order, so a gate can never run before
-        its qubit exists.  Any field of the wrong type or shape, such as a
-        list where the dataclass declares a tuple, raises MalformedCode too.
+        Any defect raises MalformedCode.  Qubit references are checked against
+        the number of qubits allocated up to that point in program order, so a
+        gate can never run before its qubit exists.  Any field of the wrong
+        type or shape, such as a list where the dataclass declares a tuple,
+        raises MalformedCode too.
 
-        A code that passes remembers it, and later calls return at once, if
-        the code, every instruction, ``Gate`` and ``Condition`` is of its
-        exact class and every container an exact ``tuple``: these are frozen,
-        so such a code cannot change.  Otherwise, as with a tuple subclass
-        that could yield other items on a later pass, every call checks in
-        full.  A failed check is never remembered.
+        Each op is ``(kind, a, b, c, instruction)`` with ``kind`` the
+        instruction's class: ``GateApp`` (gate, target, controls), ``Alloc``
+        (count), ``Measure`` (qubits, future), ``Dump`` (qubits, dump) or
+        ``Branch`` (future, literal, index of the first op past its body,
+        which follows it).  Each field is read once, and the ops hold the
+        values checked, with every container an exact tuple.
+
+        A code that passes remembers its ops, and later calls return them at
+        once, if the code, every instruction, ``Gate`` and ``Condition`` is of
+        its exact class and every container an exact ``tuple``: these are
+        frozen, so such a code cannot change.  Otherwise, as with a tuple
+        subclass that could yield other items on a later pass, every call
+        checks in full and returns new ops.  A failed check is never remembered.
         """
-        if self.__dict__.get("_valid"):
-            return
-        if not all(map(_is_int, (self.num_qubits, self.num_futures, self.num_dumps))):
+        ops = self.__dict__.get("_ops")
+        if ops is not None:
+            return ops
+        num_qubits, num_futures, num_dumps = self.num_qubits, self.num_futures, self.num_dumps
+        if not all(map(_is_int, (num_qubits, num_futures, num_dumps))):
             raise MalformedCode("header counts must be integers")
-        _check_type(self.instructions, tuple, "program instructions")
-        exact = self.__class__ is QuantumCode and self.instructions.__class__ is tuple
+        instructions = self.instructions
+        _check_type(instructions, tuple, "program instructions")
+        exact = self.__class__ is QuantumCode and instructions.__class__ is tuple
         allocated = 0
         futures: set[int] = set()
         dumps: set[int] = set()
-        blocks = [iter(self.instructions)]
+        ops = []
+        append = ops.append
+        blocks = [iter(instructions)]
+        branches = []  # (index of its op, future, literal, instruction) of each open branch
         while blocks:
             for ins in blocks[-1]:
                 if isinstance(ins, GateApp):  # first: most instructions are gates
-                    if ins.__class__ is not GateApp or ins.gate.__class__ is not Gate:
-                        if not isinstance(ins.gate, Gate):
+                    gate, target, controls = ins.gate, ins.target, ins.controls
+                    if ins.__class__ is not GateApp or gate.__class__ is not Gate:
+                        if not isinstance(gate, Gate):
                             raise MalformedCode("gate application without a gate")
                         exact = False
-                    if ins.controls.__class__ is not tuple:  # inline, as this runs per gate
-                        _check_type(ins.controls, tuple, "gate controls")
+                    if controls.__class__ is not tuple:  # inline, as this runs per gate
+                        _check_type(controls, tuple, "gate controls")
+                        controls = tuple(controls)  # one pass over a tuple subclass
                         exact = False
-                    _check_indices((ins.target, *ins.controls), allocated, "gate")
+                    _check_indices((target, *controls), allocated, "gate")
+                    append((GateApp, gate, target, controls, ins))
                 elif isinstance(ins, Alloc):
                     exact = exact and ins.__class__ is Alloc
                     if len(blocks) > 1:
                         raise MalformedCode("allocation inside a conditioned block")
-                    if not _is_int(ins.count) or ins.count < 1:
-                        raise MalformedCode(f"allocation count must be >= 1, got {short_repr(ins.count)}")
-                    allocated += ins.count
+                    count = ins.count
+                    if not _is_int(count) or count < 1:
+                        raise MalformedCode(f"allocation count must be >= 1, got {short_repr(count)}")
+                    allocated += count
                     if allocated > MAX_QUBITS:
                         raise MalformedCode(
                             f"program allocates {short_repr(allocated)} qubits, more than the limit of {MAX_QUBITS}"
                         )
+                    append((Alloc, count, None, None, ins))
                 elif isinstance(ins, Measure):
                     if len(blocks) > 1:
                         raise MalformedCode("measurement inside a conditioned block")
-                    _check_readout(ins.qubits, allocated, "measure", ins.future, "future", futures)
-                    exact = exact and ins.__class__ is Measure and ins.qubits.__class__ is tuple
+                    qubits, future = ins.qubits, ins.future
+                    exact = exact and ins.__class__ is Measure and qubits.__class__ is tuple
+                    qubits = _check_readout(qubits, allocated, "measure", future, "future", futures)
+                    append((Measure, qubits, future, None, ins))
                 elif isinstance(ins, Dump):
                     if len(blocks) > 1:
                         raise MalformedCode("dump inside a conditioned block")
-                    _check_readout(ins.qubits, allocated, "dump", ins.dump, "dump", dumps)
-                    exact = exact and ins.__class__ is Dump and ins.qubits.__class__ is tuple
+                    qubits, dump = ins.qubits, ins.dump
+                    exact = exact and ins.__class__ is Dump and qubits.__class__ is tuple
+                    qubits = _check_readout(qubits, allocated, "dump", dump, "dump", dumps)
+                    append((Dump, qubits, dump, None, ins))
                 elif isinstance(ins, Branch):
-                    _check_type(ins.condition, Condition, "branch condition")
-                    _check_type(ins.body, tuple, "branch body")
-                    exact = exact and ins.__class__ is Branch and ins.body.__class__ is tuple
-                    exact = exact and ins.condition.__class__ is Condition
-                    if not (_is_int(ins.condition.future) and _is_int(ins.condition.equals)):
-                        raise MalformedCode(f"condition must hold integers, got {short_repr(ins.condition)}")
-                    if ins.condition.future not in futures:
-                        raise MalformedCode(
-                            f"condition on future {short_repr(ins.condition.future)} with no prior measure"
-                        )
-                    if ins.condition.equals < 0:
+                    condition, body = ins.condition, ins.body
+                    _check_type(condition, Condition, "branch condition")
+                    _check_type(body, tuple, "branch body")
+                    exact = exact and ins.__class__ is Branch and body.__class__ is tuple
+                    exact = exact and condition.__class__ is Condition
+                    future, equals = condition.future, condition.equals
+                    if not (_is_int(future) and _is_int(equals)):
+                        raise MalformedCode(f"condition must hold integers, got {short_repr(condition)}")
+                    if future not in futures:
+                        raise MalformedCode(f"condition on future {short_repr(future)} with no prior measure")
+                    if equals < 0:
                         raise MalformedCode("condition literal must be non-negative")
                     if len(blocks) > MAX_DEPTH:
                         raise MalformedCode(f"conditioned blocks nested too deeply (limit {MAX_DEPTH})")
-                    blocks.append(iter(ins.body))
+                    branches.append((len(ops), future, equals, ins))
+                    append(None)  # the branch's op, written when its body ends
+                    blocks.append(iter(body))
                     break
                 else:
                     raise MalformedCode(f"unknown instruction {short_repr(ins)}")
             else:
                 blocks.pop()
-        if allocated != self.num_qubits:
-            raise MalformedCode(
-                f"program allocates {allocated} qubits, header says {short_repr(self.num_qubits)}"
-            )
+                if branches:
+                    at, future, equals, ins = branches.pop()
+                    ops[at] = (Branch, future, equals, len(ops), ins)
+        if allocated != num_qubits:
+            raise MalformedCode(f"program allocates {allocated} qubits, header says {short_repr(num_qubits)}")
         # lengths first, so a hostile header count builds no huge range
-        if len(futures) != self.num_futures or futures != set(range(self.num_futures)):
+        if len(futures) != num_futures or futures != set(range(num_futures)):
             raise MalformedCode("future ids are not exactly 0..num_futures-1")
-        if len(dumps) != self.num_dumps or dumps != set(range(self.num_dumps)):
+        if len(dumps) != num_dumps or dumps != set(range(num_dumps)):
             raise MalformedCode("dump ids are not exactly 0..num_dumps-1")
+        ops = tuple(ops)
         if exact:
-            self.__dict__["_valid"] = True
+            self.__dict__["_ops"] = ops
+        return ops
 
     def __eq__(self, other):
         # a loop, unlike the generated method, so programs MAX_DEPTH deep compare
@@ -289,8 +317,10 @@ def _check_indices(qubits: Sequence[int], allocated: int, what: str) -> None:
         raise MalformedCode(f"{what} lists a qubit more than once")
 
 
-def _check_readout(qubits, allocated: int, what: str, rid, kind: str, seen: set[int]) -> None:
+def _check_readout(qubits, allocated: int, what: str, rid, kind: str, seen: set[int]) -> tuple[int, ...]:
+    """Check a measure's or dump's qubits and id; return the qubits as the exact tuple checked."""
     _check_type(qubits, tuple, f"{what} qubits")
+    qubits = tuple(qubits)  # one pass over a tuple subclass
     _check_indices(qubits, allocated, what)
     if not qubits:
         raise MalformedCode(f"{what} covers no qubits")
@@ -299,6 +329,7 @@ def _check_readout(qubits, allocated: int, what: str, rid, kind: str, seen: set[
     if rid in seen:
         raise MalformedCode(f"{kind} id {short_repr(rid)} produced twice")
     seen.add(rid)
+    return qubits
 
 
 class ProcessState(Enum):

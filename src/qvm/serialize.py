@@ -39,42 +39,47 @@ from .ir import (
 FORMAT_VERSION = 1
 
 
-def _encode_instruction(ins: Instruction) -> dict[str, Any]:
-    if isinstance(ins, Alloc):
-        return {"op": "alloc", "count": ins.count}
-    if isinstance(ins, GateApp):
-        out: dict[str, Any] = {"op": "gate", "kind": ins.gate.kind.value}
-        if ins.gate.angle is not None:
-            out["angle"] = ins.gate.angle
-        out["target"] = ins.target
-        out["controls"] = list(ins.controls)
-        return out
-    if isinstance(ins, Measure):
-        return {"op": "measure", "qubits": list(ins.qubits), "future": ins.future}
-    if isinstance(ins, Dump):
-        return {"op": "dump", "qubits": list(ins.qubits), "dump": ins.dump}
-    # ``serialize`` validated the program, so anything else is a Branch
-    return {
-        "op": "branch",
-        "future": ins.condition.future,
-        "equals": ins.condition.equals,
-        "body": [_encode_instruction(i) for i in ins.body],
-    }
-
-
 def serialize(code: QuantumCode) -> bytes:
     """Encode a validated program as one line of compact UTF-8 JSON.
 
-    Validation caps nesting at ``ir.MAX_DEPTH``, which bounds the encoder's recursion.
+    The nested document is rebuilt from the flat ops ``code.validate()``
+    returns, so it holds exactly the values that were checked.  Validation
+    caps nesting at ``ir.MAX_DEPTH``, which bounds the recursion of
+    ``json.dumps``.
     """
-    code.validate()
+    ops = code.validate()
+    out: list[dict[str, Any]] = []
     doc = {
         "version": FORMAT_VERSION,
         "num_qubits": code.num_qubits,
         "num_futures": code.num_futures,
         "num_dumps": code.num_dumps,
-        "instructions": [_encode_instruction(i) for i in code.instructions],
+        "instructions": out,
     }
+    end = -1  # index of the first op past the innermost open body
+    enclosing = []  # (end, out) of each body that holds the innermost one
+    for at, (kind, a, b, c, _) in enumerate(ops):
+        while at == end:
+            end, out = enclosing.pop()
+        if kind is GateApp:
+            item: dict[str, Any] = {"op": "gate", "kind": a.kind.value}
+            if a.angle is not None:
+                item["angle"] = a.angle
+            item["target"] = b
+            item["controls"] = list(c)
+        elif kind is Alloc:
+            item = {"op": "alloc", "count": a}
+        elif kind is Measure:
+            item = {"op": "measure", "qubits": list(a), "future": b}
+        elif kind is Dump:
+            item = {"op": "dump", "qubits": list(a), "dump": b}
+        else:
+            body: list[dict[str, Any]] = []
+            out.append({"op": "branch", "future": a, "equals": b, "body": body})
+            enclosing.append((end, out))
+            end, out = c, body
+            continue
+        out.append(item)
     return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
 
 

@@ -42,8 +42,9 @@ magnitudes, then the kept slice), and a dump at most 2·S (a copy of the
 groups where their layout is not a view of the state, and one buffer for
 projections and residuals).
 
-``execute`` runs a flat tuple of ops, lowered once per code object, in which
-a conditioned block is a forward jump: no recursion and no closure.
+``execute`` runs the flat ops that ``QuantumCode.validate`` returns, in which
+a conditioned block is a forward jump: no tree walk, no recursion and no
+closure.
 
 Execution is a pure function of ``(code, seed)``: one xoshiro256** stream per
 run, advanced by exactly one draw per measurement, with the outcome chosen
@@ -67,7 +68,7 @@ from .errors import (
     IndexOutOfRange,
     IndexOverlap,
 )
-from .ir import Alloc, Dump, Gate, GateApp, GateKind, Measure, QuantumCode
+from .ir import Branch, Dump, Gate, GateApp, GateKind, Measure, QuantumCode
 from .rng import Xoshiro256StarStar
 
 # Amplitudes below this magnitude are treated as zero when snapshotting.
@@ -388,55 +389,6 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     return DumpData(qubits, basis_states)
 
 
-# Op kinds of a lowered plan.  Every op is ``(kind, a, b, c, source)``, where
-# ``source`` is the instruction it came from:
-# gate (matrix, target, controls), alloc (count), measure (qubits, future),
-# dump (qubits, dump id), and branch (future, literal, index of the first op
-# after its body), which jumps past its body unless the future equals the literal.
-_GATE, _ALLOC, _MEASURE, _DUMP, _BRANCH = range(5)
-
-
-def _lower(code: QuantumCode) -> tuple:
-    """The ops of a validated code, in program order, with every matrix resolved."""
-    ops: list[tuple] = []
-    blocks, open_branches = [iter(code.instructions)], []
-    while blocks:
-        for ins in blocks[-1]:
-            if isinstance(ins, GateApp):
-                ops.append((_GATE, gate_matrix(ins.gate), ins.target, ins.controls, ins))
-            elif isinstance(ins, Alloc):
-                ops.append((_ALLOC, ins.count, None, None, ins))
-            elif isinstance(ins, Measure):
-                ops.append((_MEASURE, ins.qubits, ins.future, None, ins))
-            elif isinstance(ins, Dump):
-                ops.append((_DUMP, ins.qubits, ins.dump, None, ins))
-            else:  # validated, so a Branch; its op is written when its body ends
-                open_branches.append((len(ops), ins))
-                ops.append(None)
-                blocks.append(iter(ins.body))
-                break
-        else:
-            blocks.pop()
-            if open_branches:
-                at, ins = open_branches.pop()
-                ops[at] = (_BRANCH, ins.condition.future, ins.condition.equals, len(ops), ins)
-    return tuple(ops)
-
-
-def _plan(code: QuantumCode) -> tuple:
-    """``_lower(code)``, kept on the code when ``validate`` remembered it.
-
-    Only a code that ``validate`` remembered cannot change, so any other is
-    lowered again on every call.
-    """
-    plan = code.__dict__.get("_plan")
-    if plan is None:
-        plan = _lower(code)
-        if code.__dict__.get("_valid"):
-            code.__dict__["_plan"] = plan
-    return plan
-
-
 def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
     """Interpret a program deterministically and collect all results.
 
@@ -446,12 +398,21 @@ def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
     recorded earlier in the run, equals the literal.  A state whose norm
     drifts from 1 by more than 1e-9 raises EngineFailure.
 
-    Every call validates ``code``; the ops it runs are lowered once per code
-    object (see ``_plan``).  The kernels are looked up when called, never
-    stored in the plan, so a module attribute set in their place is used.
+    Every call validates ``code`` and runs the ops ``validate`` returns, with
+    each gate's ``Gate`` swapped for its ``gate_matrix``.  That plan is kept
+    on the code and used again while ``validate`` returns the same ops
+    object, as it does for a code it remembers.  The kernels are looked up
+    when called, never stored in the plan, so a module attribute set in
+    their place is used.
     """
-    code.validate()
-    plan = _plan(code)
+    ops = code.validate()
+    planned, plan = code.__dict__.get("_engine_ops", (None, None))
+    if planned is not ops:
+        plan = tuple(
+            (kind, gate_matrix(a), b, c, ins) if kind is GateApp else (kind, a, b, c, ins)
+            for kind, a, b, c, ins in ops
+        )
+        code.__dict__["_engine_ops"] = ops, plan
     state, rng = StateVector.zero(0), Xoshiro256StarStar(seed)
     futures: dict[int, int] = {}
     dumps: dict[int, DumpData] = {}
@@ -459,15 +420,15 @@ def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
     while pc < end:
         kind, a, b, c, ins = plan[pc]
         pc += 1
-        if kind == _GATE:
+        if kind is GateApp:
             apply_kernel(state, a, b, c)
-        elif kind == _BRANCH:
+        elif kind is Branch:
             if futures[a] != b:
-                pc = c
+                pc = c  # past the body
             continue  # no state change to re-check
-        elif kind == _MEASURE:
+        elif kind is Measure:
             futures[b] = measure_kernel(state, a, rng)[0]
-        elif kind == _DUMP:
+        elif kind is Dump:
             dumps[b] = extract_dump(state, a)
         else:
             state.extend(a)

@@ -66,7 +66,8 @@ def run_gates(code: qvm.QuantumCode, state: StateVector) -> StateVector:
     for ins in code.instructions:
         if isinstance(ins, qvm.Alloc):
             continue
-        assert isinstance(ins, qvm.GateApp), f"not a pure gate program: {ins!r}"
+        if not isinstance(ins, qvm.GateApp):
+            raise TypeError(f"not a pure gate program: {ins!r}")
         apply_kernel(state, gate_matrix(ins.gate), ins.target, ins.controls)
     return state
 

@@ -1154,3 +1154,59 @@ class TestRememberedValidation:
         with pytest.raises(qvm.MalformedCode, match="references qubit 2"):
             broken.validate()
         dataclasses.replace(code).validate()
+
+
+DUMP_0 = qvm.Dump((0,), 0)
+
+
+# Programs whose items are ``seq(items, later)``: ``seq`` is ShiftingTuple for
+# a code valid on its first pass and invalid on its second, or a plain choice
+# of ``items`` for the same program as an exact code.
+def _gate_out_of_range(seq):
+    items = seq((Alloc(1), GateApp(GATE_X, 0), DUMP_0), (Alloc(1), GateApp(GATE_X, 5), DUMP_0))
+    return qvm.QuantumCode(1, items, 0, 1)
+
+
+def _not_an_instruction(seq):
+    return qvm.QuantumCode(1, seq((Alloc(1), GateApp(GATE_X, 0), DUMP_0), (Alloc(1), "x", DUMP_0)), 0, 1)
+
+
+def _gate_in_a_branch_body(seq):
+    body = seq((GateApp(GATE_X, 0),), (GateApp(GATE_X, 5),))
+    return qvm.QuantumCode(1, (*MEASURED, qvm.Branch(ON_0, body), DUMP_0), 1, 1)
+
+
+def _gate_controls(seq):
+    cnot = GateApp(GATE_X, 1, seq((0,), (5,)))
+    return qvm.QuantumCode(2, (Alloc(2), GateApp(GATE_X, 0), cnot, qvm.Dump((0, 1), 0)), 0, 1)
+
+
+def _measured_qubits(seq):
+    return qvm.QuantumCode(1, (Alloc(1), GateApp(GATE_X, 0), Measure(seq((0,), (5,)), 0)), 1, 0)
+
+
+class TestValidatedOps:
+    @pytest.mark.parametrize(
+        "build",
+        [_gate_out_of_range, _not_an_instruction, _gate_in_a_branch_body, _gate_controls, _measured_qubits],
+        ids=lambda build: build.__name__.lstrip("_"),
+    )
+    def test_execute_and_serialize_use_only_the_pass_validate_checked(self, build):
+        exact = build(lambda items, later: items)
+        for use in (lambda code: qvm.execute(code, 3), qvm.serialize):
+            code = build(ShiftingTuple)
+            assert use(code) == use(exact)
+            with pytest.raises(qvm.MalformedCode):  # the second pass is checked, and fails
+                use(code)
+
+    def test_validate_returns_the_flat_ops_and_a_remembered_code_the_same_ones(self):
+        code = bell_code()
+        ops = code.validate()
+        kinds = [Alloc, GateApp, GateApp, Measure, qvm.Branch, GateApp, qvm.Dump]
+        assert [op[0] for op in ops] == kinds
+        *head, branch, dump = code.instructions
+        assert [op[4] for op in ops] == [*head, branch, *branch.body, dump]
+        assert ops[4][:4] == (qvm.Branch, 0, 1, 6)  # future, literal, first op past the body
+        assert code.validate() is ops
+        fresh = dataclasses.replace(code)
+        assert fresh.validate() == ops and fresh.validate() is not ops

@@ -441,10 +441,10 @@ class TestExecute:
         assert calls.count("norm_sq") == 1 + gates + 2  # alloc, gates, measure, dump
 
     def test_a_code_validate_does_not_remember_is_lowered_on_every_run(self):
-        # passes 1-2 are the first run's validate and lowering, pass 4 the second run's lowering
+        # each run reads the program once, in validate: pass 1 is the first run's, pass 2 the second's
         dump = qvm.Dump((0,), 0)
         items = ShiftingTuple(
-            (qvm.Alloc(1), dump), (qvm.Alloc(1), qvm.GateApp(Gate(GateKind.PAULI_X), 0), dump), 4
+            (qvm.Alloc(1), dump), (qvm.Alloc(1), qvm.GateApp(Gate(GateKind.PAULI_X), 0), dump), 2
         )
         code = qvm.QuantumCode(1, items, 0, 1)
         assert execute(code).dumps[0].basis_states == ((0, 1 + 0j),)
