@@ -28,11 +28,15 @@ Scope rules enforced while recording:
 
 from __future__ import annotations
 
+import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     ControlTargetOverlap,
@@ -82,15 +86,52 @@ def short_repr(value) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
 
+# Equal gates have equal matrices, so the cache cannot change a result.  Angles
+# of +0.0 and -0.0 compare equal and share an entry; the two matrices differ
+# at most in the signs of zeros, and both are the identity, which the
+# diagonal path of ``simulator.apply_kernel`` skips.
+@functools.lru_cache(maxsize=1024)
+def _unitary(kind: GateKind, t: float | None) -> np.ndarray:
+    """2x2 unitary of a gate kind and angle, cached and shared, so it is read-only."""
+    if kind is GateKind.PAULI_X:
+        rows = [[0, 1], [1, 0]]
+    elif kind is GateKind.PAULI_Y:
+        rows = [[0, -1j], [1j, 0]]
+    elif kind is GateKind.PAULI_Z:
+        rows = [[1, 0], [0, -1]]
+    elif kind is GateKind.HADAMARD:
+        s = 1.0 / math.sqrt(2.0)
+        rows = [[s, s], [s, -s]]
+    elif kind is GateKind.RX:
+        c, s = math.cos(t / 2), math.sin(t / 2)
+        rows = [[c, -1j * s], [-1j * s, c]]
+    elif kind is GateKind.RY:
+        c, s = math.cos(t / 2), math.sin(t / 2)
+        rows = [[c, -s], [s, c]]
+    elif kind is GateKind.RZ:
+        rows = [[cmath.exp(-0.5j * t), 0], [0, cmath.exp(0.5j * t)]]
+    else:  # ``Gate`` admits no kind but these eight
+        rows = [[1, 0], [0, cmath.exp(1j * t)]]
+    matrix = np.array(rows, dtype=complex)
+    matrix.setflags(write=False)
+    return matrix
+
+
 @dataclass(frozen=True)
 class Gate:
     """A single-qubit gate; rotation and phase kinds carry an angle in radians.
 
     ``kind`` may also be given by name, such as "rx"; an unknown name raises ValueError.
+    ``matrix`` is the gate's 2x2 unitary, shared read-only by every equal gate
+    and left out of equality, ``repr`` and pickling, which rebuilds a gate from
+    its kind and angle.  RX(θ) = [[cos θ/2, -i sin θ/2], [-i sin θ/2, cos θ/2]],
+    RY(θ) = [[cos θ/2, -sin θ/2], [sin θ/2, cos θ/2]], Phase(λ) = diag(1, e^{iλ})
+    and RZ(θ) = diag(e^{-iθ/2}, e^{iθ/2}); an inverse's is the conjugate transpose.
     """
 
     kind: GateKind
     angle: float | None = None
+    matrix: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind.__class__ is not GateKind:
@@ -104,6 +145,10 @@ class Gate:
             object.__setattr__(self, "angle", float(self.angle))
         elif self.angle is not None:
             raise ValueError(f"gate {self.kind.value!r} takes no angle")
+        object.__setattr__(self, "matrix", _unitary(self.kind, self.angle))
+
+    def __reduce__(self):
+        return self.__class__, (self.kind, self.angle)
 
     def inverse(self) -> "Gate":
         # X, Y, Z, H are self-inverse; parametric gates invert by negating the angle.
@@ -298,6 +343,12 @@ class QuantumCode:
                 elif not a == b:  # ``!=`` costs a further ``__ne__`` lookup
                     return False
         return True
+
+    def __getstate__(self):
+        # the fields only: ``pickle`` and ``copy`` carry no remembered ops
+        state = dict(self.__dict__)
+        state.pop("_ops", None)
+        return state
 
 
 def _is_int(value) -> bool:

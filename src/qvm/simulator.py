@@ -42,9 +42,9 @@ magnitudes, then the kept slice), and a dump at most 2·S (a copy of the
 groups where their layout is not a view of the state, and one buffer for
 projections and residuals).
 
-``execute`` runs the flat ops that ``QuantumCode.validate`` returns, in which
-a conditioned block is a forward jump: no tree walk, no recursion and no
-closure.
+``execute`` runs the flat ops that ``QuantumCode.validate`` returns, as they
+are: a conditioned block is a forward jump, with no tree walk, recursion or
+closure, and a gate applies the matrix its ``Gate`` carries.
 
 Execution is a pure function of ``(code, seed)``: one xoshiro256** stream per
 run, advanced by exactly one draw per measurement, with the outcome chosen
@@ -53,7 +53,6 @@ against the cumulative outcome distribution in ascending outcome order.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -68,7 +67,7 @@ from .errors import (
     IndexOutOfRange,
     IndexOverlap,
 )
-from .ir import Branch, Dump, Gate, GateApp, GateKind, Measure, QuantumCode
+from .ir import Branch, Dump, Gate, GateApp, Measure, QuantumCode
 from .rng import Xoshiro256StarStar
 
 # Amplitudes below this magnitude are treated as zero when snapshotting.
@@ -90,9 +89,8 @@ _READS = (slice(0, 1), slice(1, 2))
 # An X gathered took 0.8-1.6x the view's time on sides of 2^7-2^10.
 _IN_PLACE_MIN = 1 << 11
 
-# Entries kept by the caches of gate matrices by gate and of pair views by
-# (n, target, controls).  A program with more distinct gates or qubit patterns
-# than this recomputes the least recently used.
+# Entries kept by the cache of pair views by (n, target, controls).  A program
+# with more distinct qubit patterns than this recomputes the least recently used.
 _CACHE_SIZE = 1024
 
 # Entries kept by the cache of gathered pair indices.  Its largest entry, at
@@ -100,42 +98,9 @@ _CACHE_SIZE = 1024
 # 1 KiB of array headers, so at this size it holds at most about 4.3 MiB.
 _GATHER_CACHE_SIZE = 256
 
-# Equal gates have equal matrices, so the cache cannot change a result.  Angles
-# of +0.0 and -0.0 compare equal and share an entry; the two matrices differ
-# at most in the signs of zeros, and both are the identity, which the
-# diagonal path of ``apply_kernel`` skips.
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def gate_matrix(gate: Gate) -> np.ndarray:
-    """2x2 unitary of a gate, cached and shared, so it is read-only.
-
-    Conventions: RX(θ) = [[cos θ/2, -i sin θ/2], [-i sin θ/2, cos θ/2]],
-    RY(θ) = [[cos θ/2, -sin θ/2], [sin θ/2, cos θ/2]],
-    RZ(θ) = diag(e^{-iθ/2}, e^{iθ/2}), Phase(λ) = diag(1, e^{iλ}).
-    The inverse gate's matrix is the conjugate transpose.
-    """
-    kind, t = gate.kind, gate.angle
-    if kind is GateKind.PAULI_X:
-        rows = [[0, 1], [1, 0]]
-    elif kind is GateKind.PAULI_Y:
-        rows = [[0, -1j], [1j, 0]]
-    elif kind is GateKind.PAULI_Z:
-        rows = [[1, 0], [0, -1]]
-    elif kind is GateKind.HADAMARD:
-        s = 1.0 / math.sqrt(2.0)
-        rows = [[s, s], [s, -s]]
-    elif kind is GateKind.RX:
-        c, s = math.cos(t / 2), math.sin(t / 2)
-        rows = [[c, -1j * s], [-1j * s, c]]
-    elif kind is GateKind.RY:
-        c, s = math.cos(t / 2), math.sin(t / 2)
-        rows = [[c, -s], [s, c]]
-    elif kind is GateKind.RZ:
-        rows = [[cmath.exp(-0.5j * t), 0], [0, cmath.exp(0.5j * t)]]
-    else:  # ``Gate`` admits no kind but these eight
-        rows = [[1, 0], [0, cmath.exp(1j * t)]]
-    matrix = np.array(rows, dtype=complex)
-    matrix.setflags(write=False)
-    return matrix
+    """2x2 unitary of a gate: ``gate.matrix``, shared by equal gates and read-only."""
+    return gate.matrix
 
 
 @dataclass
@@ -245,7 +210,7 @@ def apply_kernel(
 
     Touches exactly the amplitude pairs that differ in the target bit and
     have every control bit set to 1.  ``matrix`` is only read, so the shared
-    read-only matrices of ``gate_matrix`` serve every call; the checked
+    read-only matrices that gates carry serve every call; the checked
     indices come from the caches of ``_pair_gather`` and ``_pair_index``.
     """
     controls = tuple(controls)
@@ -398,30 +363,21 @@ def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
     recorded earlier in the run, equals the literal.  A state whose norm
     drifts from 1 by more than 1e-9 raises EngineFailure.
 
-    Every call validates ``code`` and runs the ops ``validate`` returns, with
-    each gate's ``Gate`` swapped for its ``gate_matrix``.  That plan is kept
-    on the code and used again while ``validate`` returns the same ops
-    object, as it does for a code it remembers.  The kernels are looked up
-    when called, never stored in the plan, so a module attribute set in
-    their place is used.
+    Every call validates ``code`` and runs the ops ``validate`` returns as
+    they are, each gate with the matrix its ``Gate`` carries; ``code`` is
+    never written.  The kernels are looked up when called, so a module
+    attribute set in their place is used.
     """
     ops = code.validate()
-    planned, plan = code.__dict__.get("_engine_ops", (None, None))
-    if planned is not ops:
-        plan = tuple(
-            (kind, gate_matrix(a), b, c, ins) if kind is GateApp else (kind, a, b, c, ins)
-            for kind, a, b, c, ins in ops
-        )
-        code.__dict__["_engine_ops"] = ops, plan
     state, rng = StateVector.zero(0), Xoshiro256StarStar(seed)
     futures: dict[int, int] = {}
     dumps: dict[int, DumpData] = {}
-    pc, end = 0, len(plan)
+    pc, end = 0, len(ops)
     while pc < end:
-        kind, a, b, c, ins = plan[pc]
+        kind, a, b, c, ins = ops[pc]
         pc += 1
         if kind is GateApp:
-            apply_kernel(state, a, b, c)
+            apply_kernel(state, a.matrix, b, c)
         elif kind is Branch:
             if futures[a] != b:
                 pc = c  # past the body

@@ -4,7 +4,7 @@ Everything here is built from plain dense linear algebra (tensor products of
 identities and projectors) and never calls the production kernels, except
 where a helper explicitly drives the kernels to assemble a circuit's matrix
 for comparison against these references.  ``ShiftingTuple`` is a hostile
-container for the tests of what the engine remembers about a program.
+container for the tests of what ``validate`` remembers about a program.
 """
 
 from __future__ import annotations

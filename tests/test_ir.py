@@ -1,7 +1,9 @@
 """Builder semantics: handles, scopes, rewrites, and the execution lifecycle."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import re
 from contextlib import ExitStack
 
@@ -27,6 +29,7 @@ from qvm import (
     ctrl,
     new_process,
 )
+from qvm.examples import EXAMPLES
 
 from oracles import ShiftingTuple, expand
 
@@ -1144,6 +1147,17 @@ class TestRememberedValidation:
         assert qvm.serialize(code) == text
         assert qvm.deserialize(qvm.serialize(code)) == code
         assert qvm.execute(code, 7) == qvm.execute(fresh, 7)
+
+    def test_pickle_and_copy_carry_no_remembered_ops(self):
+        process = new_process()
+        EXAMPLES["teleport"].build(process)
+        code = process.code
+        fresh = pickle.dumps(code)
+        first = qvm.execute(code, 5)
+        assert pickle.dumps(code) == fresh
+        for twin in (pickle.loads(fresh), copy.copy(code), copy.deepcopy(code)):
+            assert "_ops" not in vars(twin)
+            assert twin == code and qvm.execute(twin, 5) == first
 
     def test_replace_gives_a_code_that_validates_afresh(self):
         code = bell_code()

@@ -1,8 +1,11 @@
 """Engine semantics: gate matrices, kernels, sampling, snapshots, determinism."""
 
+import copy
+import dataclasses
 import gc
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -106,6 +109,22 @@ class TestGateMatrices:
             gate = Gate(kind, 0.5) if kind in qvm.ir.PARAMETRIC_KINDS else Gate(kind)
             with pytest.raises(ValueError):
                 gate_matrix(gate)[1, 1] = 5
+            # equal gates share the one read-only matrix, however they are made
+            wire = qvm.serialize(qvm.QuantumCode(1, (qvm.Alloc(1), qvm.GateApp(gate, 0))))
+            negated = None if gate.angle is None else -gate.angle
+            equals = [
+                Gate(kind.value, gate.angle),
+                Gate(kind, negated).inverse(),
+                dataclasses.replace(gate),
+                copy.copy(gate),
+                copy.deepcopy(gate),
+                pickle.loads(pickle.dumps(gate)),
+                qvm.deserialize(wire).instructions[1].gate,
+            ]
+            for equal in equals:
+                assert equal == gate and equal.matrix is gate_matrix(gate)
+                with pytest.raises(ValueError):
+                    equal.matrix[0, 0] = 5
         state = apply_kernel(StateVector.zero(1), gate_matrix(Gate(GateKind.HADAMARD)), 0)
         assert np.array_equal(state.amps, [SQRT1_2, SQRT1_2])
 
@@ -514,9 +533,11 @@ class TestExecute:
             gc.enable()
 
     def test_norm_drift_raises_engine_failure(self, monkeypatch):
-        monkeypatch.setattr(
-            qvm.simulator, "gate_matrix", lambda gate: 2 * np.eye(2, dtype=complex)
-        )
+        def doubling(state, matrix, target, controls=()):
+            state.amps *= 2
+            return state
+
+        monkeypatch.setattr(qvm.simulator, "apply_kernel", doubling)
         p = qvm.new_process()
         (a,) = p.alloc(1)
         qvm.h(a)
@@ -526,7 +547,7 @@ class TestExecute:
     def test_norm_drift_raises_under_python_optimize(self):
         script = (
             "import numpy as np, qvm, qvm.simulator as sim\n"
-            "sim.gate_matrix = lambda gate: 2 * np.eye(2, dtype=complex)\n"
+            "sim.apply_kernel = lambda state, *args: np.multiply(state.amps, 2, out=state.amps)\n"
             "p = qvm.new_process()\n"
             "qvm.h(p.alloc(1)[0])\n"
             "try:\n"
