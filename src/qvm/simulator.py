@@ -14,33 +14,48 @@ the half of the state in which that qubit reads 0 or 1, again as a view.
   exactly 1.  An anti-diagonal one (X, Y, CNOT and any multi-controlled X)
   swaps the sides, times the factors ``(m01, m10)`` unless it is an X.  Any
   other matrix (H, RX, RY) forms the products ``m[i, j] * a_j`` and sums
-  them in pairs.  Two forms do this, with the same products and sums bit for
-  bit.  Sides of fewer than ``_IN_PLACE_MIN`` amplitudes are gathered by
-  flat index, from a bounded cache keyed by ``(n, target, controls)``, into
-  a contiguous ``(2, half)`` array, and the result is scattered back; a
-  dense gate forms all four products in one broadcast multiply.  Larger
-  sides are one pair view, with every control axis at ``1:2`` and the target
-  axis moved to the front, its index and axis order again from a cache, and
-  a dense gate copies one side and writes both in place through one more
-  half-state buffer.
+  them in pairs.  Three forms do this, with the same products and sums bit
+  for bit, and leave every other amplitude as it was, the sign of a zero
+  too.  On a state of at most ``_PRODUCT_MAX`` amplitudes (n <= 6), a gate
+  is whole-state products: amplitude ``i`` becomes ``c0[i] * a[i] + c1[i] *
+  a[p[i]]``, with the coefficients taken from the matrix at indices that,
+  with the partner index ``p``, come from a bounded cache keyed by ``(n,
+  target, controls)``; the result is written only where the gate acts.  A
+  diagonal gate is one product, an anti-diagonal one a gather and, unless it
+  is an X, one product, and any other one gather of every amplitude with its
+  partner, one product of both with their coefficients, and a sum.  On
+  larger states, and for a diagonal gate with a factor of exactly 1 or sides
+  of one amplitude, sides of fewer than ``_IN_PLACE_MIN`` amplitudes are
+  gathered by flat index, from a bounded cache keyed by ``(n, target,
+  controls)``, into a contiguous ``(2, half)`` array, and the result is
+  scattered back; a dense gate forms all four products in one broadcast
+  multiply.  Larger sides are one pair view, with every control axis at
+  ``1:2`` and the target axis moved to the front, its index and axis order
+  again from a cache, and a dense gate copies one side and writes both in
+  place through one more half-state buffer.
 - A measurement sums ``|amplitude|²`` over the unmeasured axes, samples an
   outcome, and keeps only that outcome's slice.
 - A dump checks every group of amplitudes (one per pattern of the unselected
   qubits) against one reference group in a single rank-1 residual.
 
-Temporary memory per call, for a state of S = 16·2^n bytes.  On gathered
-sides, whose state is under 64 KiB: a diagonal gate at most 0.5·S (one
-gathered side), an anti-diagonal one at most 1.5·S (the gathered pair and
-one product), and a dense one at most 3·S (the gathered pair, then the four
-products and their sums); each cached index entry keeps 2^n indices of 8
-bytes.  On a pair view: a diagonal gate allocates nothing; an anti-diagonal
-one at most S (the scaled pair, or for an X numpy's copy of the reversed
-pair, which overlaps its destination), and a dense one at most S (the copy
-of one side and one product), each plus numpy's iteration buffers of 8192
-amplitudes per strided operand.  A measurement takes at most S (the squared
-magnitudes, then the kept slice), and a dump at most 2·S (a copy of the
-groups where their layout is not a view of the state, and one buffer for
-projections and residuals).
+Temporary memory per call, for a state of S = 16·2^n bytes.  In whole-state
+products, whose state is at most 1 KiB: a diagonal gate at most 2·S (its
+coefficients and product), an anti-diagonal one at most 3·S (its
+coefficients, the gathered partners and the product), and a dense one at
+most 4·S (both coefficients, and the state and its partners); each cached
+entry keeps 2^(n+1) coefficient indices and 2^(n+1) partner indices of 8
+bytes, and 2^n flags.  On gathered sides, whose state is under 64 KiB: a
+diagonal gate at most 0.5·S (one gathered side), an anti-diagonal one at
+most 1.5·S (the gathered pair and one product), and a dense one at most 3·S
+(the gathered pair, then the four products and their sums); each cached
+index entry keeps 2^n indices of 8 bytes.  On a pair view: a diagonal gate
+allocates nothing; an anti-diagonal one at most S (the scaled pair, or for
+an X numpy's copy of the reversed pair, which overlaps its destination), and
+a dense one at most S (the copy of one side and one product), each plus
+numpy's iteration buffers of 8192 amplitudes per strided operand.  A
+measurement takes at most S (the squared magnitudes, then the kept slice),
+and a dump at most 2·S (a copy of the groups where their layout is not a
+view of the state, and one buffer for projections and residuals).
 
 ``execute`` runs the flat ops that ``QuantumCode.validate`` returns, as they
 are: a conditioned block is a forward jump, with no tree walk, recursion or
@@ -77,26 +92,44 @@ DUST = 1e-12
 # integer, so indexing every axis still yields a view.
 _READS = (slice(0, 1), slice(1, 2))
 
-# Gates whose sides hold at least this many amplitudes (32 KiB) work on a
-# strided view of the state, and a dense one updates it in place, in six ufunc
-# calls through one half-state buffer.  Smaller ones gather their pairs by
-# flat index into a contiguous ``(2, half)`` array and scatter the result
-# back; a dense one forms all four products in one broadcast multiply, an
-# array twice the state, and adds them in pairs.  Per RY with 0-1 controls
-# on a 2-vCPU x86-64 host, averaged over targets, the gathered form took
-# 0.4-0.75x the in-place time on sides of 2^7-2^10 amplitudes, and up to 2.6x
-# on 2^11, where its product array reaches glibc's 128 KiB mmap threshold.
-# An X gathered took 0.8-1.6x the view's time on sides of 2^7-2^10.
+# On states of more than _PRODUCT_MAX amplitudes, gates whose sides hold at
+# least this many amplitudes (32 KiB) work on a strided view of the state, and
+# a dense one updates it in place, in six ufunc calls through one half-state
+# buffer.  Smaller ones gather their pairs by flat index into a contiguous
+# ``(2, half)`` array and scatter the result back; a dense one forms all four
+# products in one broadcast multiply, an array twice the state, and adds them
+# in pairs.  Per RY with 0-1 controls on a 2-vCPU x86-64 host, averaged over
+# targets, the gathered form took 0.4-0.75x the in-place time on sides of
+# 2^7-2^10 amplitudes, and up to 2.6x on 2^11, where its product array
+# reaches glibc's 128 KiB mmap threshold.  An X gathered took 0.8-1.6x the
+# view's time on sides of 2^7-2^10.
 _IN_PLACE_MIN = 1 << 11
 
-# Entries kept by the cache of pair views by (n, target, controls).  A program
-# with more distinct qubit patterns than this recomputes the least recently used.
+# Entries kept by the caches keyed by (n, target, controls): of pair views,
+# and of whole-state product indices.  A program with more distinct qubit
+# patterns than this recomputes the least recently used.  A product entry, on
+# at most _PRODUCT_MAX amplitudes, is under 3 KiB with its array headers, so
+# that cache holds at most about 3 MiB.
 _CACHE_SIZE = 1024
 
-# Entries kept by the cache of gathered pair indices.  Its largest entry, at
-# sides of _IN_PLACE_MIN / 2, is 2^11 indices of 8 bytes (16 KiB) plus under
-# 1 KiB of array headers, so at this size it holds at most about 4.3 MiB.
+# Entries kept by the cache of gathered pair indices, which the product cache
+# below also builds from.  Its largest entry, at sides of _IN_PLACE_MIN / 2,
+# is 2^11 indices of 8 bytes (16 KiB) plus under 1 KiB of array headers, so
+# at this size it holds at most about 4.3 MiB.
 _GATHER_CACHE_SIZE = 256
+
+# States of at most this many amplitudes (1 KiB) take a gate as whole-state
+# products, where numpy's dispatch, not arithmetic, is most of a call's time.
+# Per call on a 2-vCPU x86-64 host, against the gathered form, the products
+# took 0.5-0.95x its time at n <= 7 for H, X, Y, RY and RZ with 0-2 controls;
+# at n = 8 0.45-1.3x, losing on dense gates with 2 controls, and at n >= 9
+# up to 2x on every controlled dense gate, since they compute the whole state
+# where the gathered form computes only the pairs.  A diagonal gate with a
+# factor of exactly 1, as a phase gate, took 1.1-1.3x the gathered form's
+# time even at n = 2, and scaling that side by 1 could flip the sign of a
+# zero, so such a gate keeps the gathered form, which skips the side.
+_PRODUCT_MAX = 1 << 6
+
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """2x2 unitary of a gate: ``gate.matrix``, shared by equal gates and read-only."""
@@ -200,6 +233,35 @@ def _pair_gather(n: int, target: int, controls: tuple[int, ...]):
     return pairs, pairs[0], pairs[1], pairs[::-1]
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _pair_products(n: int, target: int, controls: tuple[int, ...]):
+    """Indices of a gate's whole-state products, on ``2^n <= _PRODUCT_MAX`` amplitudes.
+
+    The gate maps each amplitude ``i`` it touches to ``c0[i] * a[i] + c1[i] *
+    a[p[i]]``: ``p[i]`` is the other side of the pair, and ``c0``, ``c1`` are
+    the flat matrix taken at ``k0``, ``k1``, so ``m00``, ``m01`` on side 0 and
+    ``m11``, ``m10`` on side 1.  An untouched amplitude has ``p[i] = i`` and
+    the indices of side 0, and the kernel writes only where ``touched`` is
+    True: a mask, or True itself for a gate without controls, which touches
+    every amplitude and so skips numpy's slower masked loop.  Returns ``k``
+    (the rows ``k0`` and ``k1``), ``k0``, ``k1``, ``partners`` (the rows
+    ``i`` and ``p``), ``p`` and ``touched``, all read-only and split here,
+    since numpy is slow to split an array per call.  The qubit checks run in
+    ``_pair_index``, through ``_pair_gather``.
+    """
+    _, i0, i1, _ = _pair_gather(n, target, controls)
+    k = np.zeros((2, 1 << n), dtype=np.intp)
+    k[1] = 1
+    k[0, i1], k[1, i1] = 3, 2
+    partners = np.stack((np.arange(1 << n),) * 2)
+    partners[1, i0], partners[1, i1] = i1, i0
+    touched = np.zeros(1 << n, dtype=bool)
+    touched[i0] = touched[i1] = True
+    for array in (k, partners, touched):
+        array.setflags(write=False)
+    return k, k[0], k[1], partners, partners[1], touched if controls else True
+
+
 def apply_kernel(
     state: StateVector,
     matrix: np.ndarray,
@@ -211,23 +273,49 @@ def apply_kernel(
     Touches exactly the amplitude pairs that differ in the target bit and
     have every control bit set to 1.  ``matrix`` is only read, so the shared
     read-only matrices that gates carry serve every call; the checked
-    indices come from the caches of ``_pair_gather`` and ``_pair_index``.
+    indices come from the caches of ``_pair_products``, ``_pair_gather`` and
+    ``_pair_index``.
     """
     controls = tuple(controls)
     (m00, m01), (m10, m11) = matrix.tolist()
     # Each product puts the factor first and writes to memory apart from its
-    # input, or, for a diagonal factor, scales its side in place: numpy's
-    # vector loop rounds ``m * a`` and ``a * m`` differently and falls back to
-    # a scalar loop, which rounds differently again, when an output is also
-    # an input or interleaves with one.  This was seen with numpy 2.4.6 on an
-    # x86-64 host with AVX-512; it is observed behaviour, not a numpy
-    # guarantee.  If the bit-exact pair-oracle test fails after a numpy or CPU
-    # change while the amplitudes agree to an ulp, suspect that change first.
+    # input, or to exactly its input, or, for a diagonal factor, scales its
+    # side in place: numpy's vector loop rounds ``m * a`` and ``a * m``
+    # differently and falls back to a scalar loop, which rounds differently
+    # again, when an output interleaves with an input or is its own input of
+    # one element.  An output that is its own contiguous input of two or more
+    # elements rounds as a fresh one.  Whole-state products are fresh, over
+    # the whole state, and written back only where the gate acts, so an
+    # untouched amplitude keeps its bits, the sign of a zero too; a diagonal
+    # gate whose sides hold one amplitude keeps the gathered form, which
+    # scales that amplitude alone in place, as the pair oracle does.  This
+    # was seen with numpy 2.4.6 on an x86-64 host with AVX-512; it is
+    # observed behaviour, not a numpy guarantee.  If the bit-exact
+    # pair-oracle test fails after a numpy or CPU change while the amplitudes
+    # agree to an ulp, suspect that change first.
     amps = state.amps
+    diagonal = m01 == 0 and m10 == 0
+    if len(amps) <= _PRODUCT_MAX and not (
+        diagonal and (m00 == 1 or m11 == 1 or len(controls) >= state.n - 1)
+    ):
+        k, k0, k1, partners, p, touched = _pair_products(state.n, target, controls)
+        flat = matrix.ravel()
+        if diagonal:
+            np.copyto(amps, np.multiply(amps, flat[k0]), where=touched)
+        elif m00 == 0 and m11 == 0:
+            if m01 == 1 and m10 == 1:
+                amps[...] = amps[p]
+            else:
+                np.copyto(amps, np.multiply(flat[k1], amps[p]), where=touched)
+        else:
+            pair = amps[partners]
+            np.multiply(flat[k], pair, out=pair)
+            np.add(pair[0], pair[1], out=amps, where=touched)
+        return state
     # sides of 2^(n-1-c) amplitudes; more controls than qubits fail the checks
     if len(amps) >> len(controls) < 2 * _IN_PLACE_MIN:
         pairs, i0, i1, swapped = _pair_gather(state.n, target, controls)
-        if m01 == 0 and m10 == 0:
+        if diagonal:
             for side, factor in ((i0, m00), (i1, m11)):
                 if factor != 1:
                     gathered = amps[side]
@@ -249,7 +337,7 @@ def apply_kernel(
         return state
     index, perm = _pair_index(state.n, target, controls)
     pair = state.tensor()[index].transpose(perm)
-    if m01 == 0 and m10 == 0:
+    if diagonal:
         for side, factor in ((pair[:1], m00), (pair[1:], m11)):
             if factor != 1:
                 np.multiply(side, factor, out=side)

@@ -173,7 +173,9 @@ class TestApplyKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 11])
     def test_index_errors_raise_on_every_call_at_gathered_sizes(self, n):
-        # every call below has sides under _IN_PLACE_MIN, so it reads _pair_gather's cache
+        # every call below has sides under _IN_PLACE_MIN, so it reads _pair_gather's
+        # cache: through _pair_products on states of at most _PRODUCT_MAX amplitudes
+        # (n = 1, 2, 5), and directly on larger ones (n = 11)
         assert 1 << (n - 1) < qvm.simulator._IN_PLACE_MIN
         x = gate_matrix(Gate(GateKind.PAULI_X))
         cases = [
@@ -204,6 +206,76 @@ class TestApplyKernel:
         entry_bytes = sys.getsizeof(entry) + sum(map(sys.getsizeof, entry))
         assert entry_bytes * sim._pair_gather.cache_info().maxsize <= 8 << 20
 
+    def test_product_index_cache_holds_at_most_8_mib(self):
+        sim = qvm.simulator
+        h = gate_matrix(Gate(GateKind.HADAMARD))
+        largest = sim._PRODUCT_MAX.bit_length() - 1  # states of _PRODUCT_MAX amplitudes
+        sim._pair_products.cache_clear()
+        apply_kernel(StateVector.zero(largest), h, 0)
+        assert sim._pair_products.cache_info().currsize == 1
+        apply_kernel(StateVector.zero(largest + 1), h, 0)  # twice the size: gathered
+        assert sim._pair_products.cache_info().currsize == 1
+        entry = sim._pair_products(largest, 0, (1,))  # with a control, so with a mask
+        # k, partners and touched own their data; the rest are views of them
+        assert [array.base is None for array in entry] == [True, False, False, True, False, True]
+        entry_bytes = sys.getsizeof(entry) + sum(map(sys.getsizeof, entry))
+        assert entry_bytes * sim._pair_products.cache_info().maxsize <= 8 << 20
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_index_errors_raise_on_every_call_at_product_sizes(self, n):
+        sim = qvm.simulator
+        assert 1 << n <= sim._PRODUCT_MAX
+        cases = [
+            (n, (), IndexOutOfRange),
+            (-1, (), IndexOutOfRange),
+            (0, (n,), IndexOutOfRange),
+            (0, (0,), IndexOverlap),
+            (n - 1, (0,) * (n + 1), IndexOverlap),  # more controls than qubits
+        ]
+        state = StateVector.zero(n)
+        sim._pair_products.cache_clear()
+        # one gate of each product: dense, X, other anti-diagonal and diagonal
+        for gate in (
+            Gate(GateKind.HADAMARD),
+            Gate(GateKind.PAULI_X),
+            Gate(GateKind.PAULI_Y),
+            Gate(GateKind.RZ, 0.5),
+        ):
+            for target, controls, error in cases:
+                for _ in range(3):
+                    with pytest.raises(error):
+                        apply_kernel(state, gate_matrix(gate), target, controls)
+        assert sim._pair_products.cache_info().currsize == 0  # nothing cached
+        assert state.amps[0] == 1 and not state.amps[1:].any()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_pair_oracle_in_the_sign_of_zeros(self, n):
+        # np.array_equal finds -0.0 equal to 0.0, so this compares bit patterns,
+        # on states whose components are often zeros of either sign; products
+        # run at n <= 6 and gathered pairs above.  Anti-diagonal matrices are left
+        # out: the oracle forms 0 * a0 + m01 * a1, where the kernel swaps the
+        # sides or scales them alone.
+        rng = np.random.default_rng(n)
+        matrices = [
+            gate_matrix(Gate(GateKind.HADAMARD)),
+            gate_matrix(Gate(GateKind.RY, 0.7)),
+            gate_matrix(Gate(GateKind.RZ, 0.7)),
+            gate_matrix(Gate(GateKind.PHASE, 0.7)),
+            gate_matrix(Gate(GateKind.PAULI_Z)),
+        ]
+        for case in range(60):
+            target = int(rng.integers(n))
+            others = [q for q in range(n) if q != target]
+            rng.shuffle(others)
+            controls = others[: rng.integers(0, n)]
+            amps = rng.choice([0.0, -0.0, 0.6, -0.8, 1.5], size=2 << n).view(complex)
+            matrix = matrices[case % len(matrices)]
+            expected = pair_oracle(amps, n, matrix, target, controls)
+            got = apply_kernel(StateVector(n, amps), matrix, target, controls).amps
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (
+                n, target, controls, matrix,
+            )
+
     def test_matches_dense_oracle_on_200_random_cases(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
@@ -220,8 +292,13 @@ class TestApplyKernel:
 
     @pytest.mark.parametrize(
         "low, high, max_controls, cases, forms",
-        [(1, 8, 3, 300, {False}), (9, 14, 3, 60, {False, True}), (17, 17, 2, 18, {True})],
-        ids=["two-copy", "mid", "in-place"],
+        [
+            (1, 8, 3, 300, {False}),
+            (9, 14, 3, 60, {False, True}),
+            (17, 17, 2, 18, {True}),
+            (1, 6, 5, 600, {False}),
+        ],
+        ids=["two-copy", "mid", "in-place", "coefficients"],
     )
     def test_matches_pair_oracle_bit_for_bit(self, low, high, max_controls, cases, forms):
         # Bit-exactness rests on numpy's rounding (see apply_kernel); it was
