@@ -140,6 +140,9 @@ class Gate:
             except ValueError:
                 raise ValueError(f"unknown gate kind {short_repr(self.kind)}") from None
         if self.kind in PARAMETRIC_KINDS:
+            # the class test first keeps the common float angle off isinstance
+            if self.angle.__class__ is not float and isinstance(self.angle, (bool, np.bool_)):
+                raise TypeError(f"gate angle must be a real number, got {self.angle!r}")
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError(f"gate {self.kind.value!r} requires a finite angle")
             object.__setattr__(self, "angle", float(self.angle))

@@ -42,15 +42,15 @@ def parse_format(spec: str) -> FormatSpec:
 def recognize_sqrt_fraction(amplitude: complex) -> tuple[int, int, int] | None:
     """Match a real amplitude against a/√b and return (sign, a, b), or None.
 
-    Fires when the amplitude is real within 1e-9 and |amplitude| is within
-    1e-9 of a/√b for 1 <= a <= 32, 1 <= b <= 2^20 with a² and b coprime;
-    the smallest such b wins.  The search tries a in ascending order, and b
-    ascending near (a/|amplitude|)², and returns at the first match, which is
-    the one with the smallest b.  A match at a = 1 costs a few microseconds;
-    a value that matches nothing still tries all 32 numerators.
+    Fires when the amplitude is finite, real within 1e-9, and |amplitude| is
+    within 1e-9 of a/√b for 1 <= a <= 32, 1 <= b <= 2^20 with a² and b
+    coprime; the smallest such b wins.  The search tries a in ascending order,
+    and b ascending near (a/|amplitude|)², and returns at the first match,
+    which is the one with the smallest b.  A match at a = 1 costs a few
+    microseconds; a value that matches nothing still tries all 32 numerators.
     """
     amplitude = complex(amplitude)
-    if abs(amplitude.imag) > 1e-9:
+    if not abs(amplitude.imag) <= 1e-9 or not math.isfinite(amplitude.real):  # NaN fails too
         return None
     value = abs(amplitude.real)
     if value < 0.5 / math.sqrt(SQRT_DENOM_LIMIT):

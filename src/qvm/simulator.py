@@ -9,30 +9,29 @@ the half of the state in which that qubit reads 0 or 1, again as a view.
 
 - A gate touches the pairs of amplitudes that differ in the target bit and
   have every control bit set; the *sides* are the halves of those pairs in
-  which the target reads 0 and 1.  A diagonal matrix (Z, RZ, phase and their
-  controlled forms, most of a QFT) only scales the sides whose factor is not
-  exactly 1.  An anti-diagonal one (X, Y, CNOT and any multi-controlled X)
-  swaps the sides, times the factors ``(m01, m10)`` unless it is an X.  Any
-  other matrix (H, RX, RY) forms the products ``m[i, j] * a_j`` and sums
-  them in pairs.  Three forms do this, with the same products and sums bit
-  for bit, and leave every other amplitude as it was, the sign of a zero
-  too.  On a state of at most ``_PRODUCT_MAX`` amplitudes (n <= 6), a gate
-  is whole-state products: amplitude ``i`` becomes ``c0[i] * a[i] + c1[i] *
-  a[p[i]]``, with the coefficients taken from the matrix at indices that,
-  with the partner index ``p``, come from a bounded cache keyed by ``(n,
-  target, controls)``; the result is written only where the gate acts.  A
-  diagonal gate is one product, an anti-diagonal one a gather and, unless it
-  is an X, one product, and any other one gather of every amplitude with its
-  partner, one product of both with their coefficients, and a sum.  On
-  larger states, and for a diagonal gate with a factor of exactly 1 or sides
-  of one amplitude, sides of fewer than ``_IN_PLACE_MIN`` amplitudes are
-  gathered by flat index, from a bounded cache keyed by ``(n, target,
-  controls)``, into a contiguous ``(2, half)`` array, and the result is
-  scattered back; a dense gate forms all four products in one broadcast
-  multiply.  Larger sides are one pair view, with every control axis at
-  ``1:2`` and the target axis moved to the front, its index and axis order
-  again from a cache, and a dense gate copies one side and writes both in
-  place through one more half-state buffer.
+  which the target reads 0 and 1.  Three rules cover every matrix.  A
+  diagonal one (Z, RZ, phase and their controlled forms, most of a QFT) only
+  scales the sides whose factor is not exactly 1.  An X (and so CNOT and any
+  multi-controlled X) swaps the sides.  Any other matrix (H, RX, RY, Y)
+  forms the products ``m[i, j] * a_j`` and sums them in pairs.  Three forms
+  do this, with the same products and sums bit for bit, and leave every
+  other amplitude as it was, the sign of a zero too.  On a state of at most
+  ``_PRODUCT_MAX`` amplitudes (n <= 6), a gate is whole-state products:
+  amplitude ``i`` becomes ``c0[i] * a[i] + c1[i] * a[p[i]]``, with the
+  coefficients taken from the matrix at indices that, with the partner
+  index ``p``, come from a bounded cache keyed by ``(n, target,
+  controls)``; the result is written only where the gate acts.  A diagonal
+  gate is one product, an X one gather, and any other one gather of every
+  amplitude with its partner, one product of both with their coefficients,
+  and a sum.  On larger states, and for a diagonal gate with a factor of
+  exactly 1 or sides of one amplitude, sides of fewer than
+  ``_IN_PLACE_MIN`` amplitudes are gathered by flat index, from a bounded
+  cache keyed by ``(n, target, controls)``, into a contiguous ``(2, half)``
+  array, and the result is scattered back; a dense gate forms all four
+  products in one broadcast multiply.  Larger sides are one pair view, with
+  every control axis at ``1:2`` and the target axis moved to the front, its
+  index and axis order again from a cache, and a dense gate copies one side
+  and writes both in place through one more half-state buffer.
 - A measurement sums ``|amplitude|²`` over the unmeasured axes, samples an
   outcome, and keeps only that outcome's slice.
 - A dump checks every group of amplitudes (one per pattern of the unselected
@@ -40,22 +39,21 @@ the half of the state in which that qubit reads 0 or 1, again as a view.
 
 Temporary memory per call, for a state of S = 16·2^n bytes.  In whole-state
 products, whose state is at most 1 KiB: a diagonal gate at most 2·S (its
-coefficients and product), an anti-diagonal one at most 3·S (its
-coefficients, the gathered partners and the product), and a dense one at
-most 4·S (both coefficients, and the state and its partners); each cached
-entry keeps 2^(n+1) coefficient indices and 2^(n+1) partner indices of 8
-bytes, and 2^n flags.  On gathered sides, whose state is under 64 KiB: a
-diagonal gate at most 0.5·S (one gathered side), an anti-diagonal one at
-most 1.5·S (the gathered pair and one product), and a dense one at most 3·S
-(the gathered pair, then the four products and their sums); each cached
-index entry keeps 2^n indices of 8 bytes.  On a pair view: a diagonal gate
-allocates nothing; an anti-diagonal one at most S (the scaled pair, or for
-an X numpy's copy of the reversed pair, which overlaps its destination), and
-a dense one at most S (the copy of one side and one product), each plus
-numpy's iteration buffers of 8192 amplitudes per strided operand.  A
-measurement takes at most S (the squared magnitudes, then the kept slice),
-and a dump at most 2·S (a copy of the groups where their layout is not a
-view of the state, and one buffer for projections and residuals).
+coefficients and product), an X at most S (the gathered partners), and a
+dense one at most 4·S (both coefficients, and the state and its partners);
+each cached entry keeps 2^(n+1) coefficient indices and 2^(n+1) partner
+indices of 8 bytes, and 2^n flags.  On gathered sides, whose state is under
+64 KiB: a diagonal gate at most 0.5·S (one gathered side), an X at most S
+(the gathered pair), and a dense one at most 3·S (the gathered pair, then
+the four products and their sums); each cached index entry keeps 2^n
+indices of 8 bytes.  On a pair view: a diagonal gate allocates nothing; an
+X at most S (numpy's copy of the reversed pair, which overlaps its
+destination), and a dense one at most S (the copy of one side and one
+product), each plus numpy's iteration buffers of 8192 amplitudes per
+strided operand.  A measurement takes at most S (the squared magnitudes,
+then the kept slice), and a dump at most 2·S (a copy of the groups where
+their layout is not a view of the state, and one buffer for projections and
+residuals).
 
 ``execute`` runs the flat ops that ``QuantumCode.validate`` returns, as they
 are: a conditioned block is a forward jump, with no tree walk, recursion or
@@ -244,8 +242,8 @@ def _pair_products(n: int, target: int, controls: tuple[int, ...]):
     the indices of side 0, and the kernel writes only where ``touched`` is
     True: a mask, or True itself for a gate without controls, which touches
     every amplitude and so skips numpy's slower masked loop.  Returns ``k``
-    (the rows ``k0`` and ``k1``), ``k0``, ``k1``, ``partners`` (the rows
-    ``i`` and ``p``), ``p`` and ``touched``, all read-only and split here,
+    (the rows ``k0`` and ``k1``), ``k0``, ``partners`` (the rows ``i`` and
+    ``p``), ``p`` and ``touched``, all read-only and split here,
     since numpy is slow to split an array per call.  The qubit checks run in
     ``_pair_index``, through ``_pair_gather``.
     """
@@ -259,7 +257,7 @@ def _pair_products(n: int, target: int, controls: tuple[int, ...]):
     touched[i0] = touched[i1] = True
     for array in (k, partners, touched):
         array.setflags(write=False)
-    return k, k[0], k[1], partners, partners[1], touched if controls else True
+    return k, k[0], partners, partners[1], touched if controls else True
 
 
 def apply_kernel(
@@ -278,9 +276,12 @@ def apply_kernel(
     """
     controls = tuple(controls)
     (m00, m01), (m10, m11) = matrix.tolist()
-    # Each product puts the factor first and writes to memory apart from its
-    # input, or to exactly its input, or, for a diagonal factor, scales its
-    # side in place: numpy's vector loop rounds ``m * a`` and ``a * m``
+    # Three rules, in each form: a diagonal matrix scales the sides, an X
+    # swaps them, and any other matrix, a Y too, sums the products of both
+    # sides, zero ones included, as the pair oracle does.  Each product puts
+    # the factor first and writes to memory apart from its input, or to
+    # exactly its input, or, for a diagonal factor, scales its side in
+    # place: numpy's vector loop rounds ``m * a`` and ``a * m``
     # differently and falls back to a scalar loop, which rounds differently
     # again, when an output interleaves with an input or is its own input of
     # one element.  An output that is its own contiguous input of two or more
@@ -295,18 +296,16 @@ def apply_kernel(
     # agree to an ulp, suspect that change first.
     amps = state.amps
     diagonal = m01 == 0 and m10 == 0
+    swap = m00 == 0 and m11 == 0 and m01 == 1 and m10 == 1
     if len(amps) <= _PRODUCT_MAX and not (
         diagonal and (m00 == 1 or m11 == 1 or len(controls) >= state.n - 1)
     ):
-        k, k0, k1, partners, p, touched = _pair_products(state.n, target, controls)
+        k, k0, partners, p, touched = _pair_products(state.n, target, controls)
         flat = matrix.ravel()
         if diagonal:
             np.copyto(amps, np.multiply(amps, flat[k0]), where=touched)
-        elif m00 == 0 and m11 == 0:
-            if m01 == 1 and m10 == 1:
-                amps[...] = amps[p]
-            else:
-                np.copyto(amps, np.multiply(flat[k1], amps[p]), where=touched)
+        elif swap:
+            amps[...] = amps[p]
         else:
             pair = amps[partners]
             np.multiply(flat[k], pair, out=pair)
@@ -321,13 +320,8 @@ def apply_kernel(
                     gathered = amps[side]
                     gathered *= factor
                     amps[side] = gathered
-        elif m00 == 0 and m11 == 0:
-            if m01 == 1 and m10 == 1:
-                amps[pairs] = amps[swapped]
-            else:
-                reversed_pair = amps[swapped]
-                amps[i0] = m01 * reversed_pair[0]
-                amps[i1] = m10 * reversed_pair[1]
+        elif swap:
+            amps[pairs] = amps[swapped]
         else:
             # all four products m[i, j] * a_j in one fresh array, summed in
             # pairs; the sum of two terms does not depend on their order, so
@@ -341,12 +335,8 @@ def apply_kernel(
         for side, factor in ((pair[:1], m00), (pair[1:], m11)):
             if factor != 1:
                 np.multiply(side, factor, out=side)
-    elif m00 == 0 and m11 == 0:
-        if m01 == 1 and m10 == 1:
-            pair[...] = pair[::-1]
-        else:
-            tail = (1,) * (pair.ndim - 1)
-            pair[...] = np.multiply(matrix[:, ::-1].diagonal().reshape(2, *tail), pair[::-1])
+    elif swap:
+        pair[...] = pair[::-1]
     else:
         v0, v1 = pair[:1], pair[1:]
         a0 = v0.copy()

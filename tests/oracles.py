@@ -206,10 +206,11 @@ def pair_oracle(amps: np.ndarray, n: int, matrix: np.ndarray, target: int, contr
     Lists every pair of flat indices that differ in the target bit and have
     every control bit set, gathers the two sides into arrays ``a0`` and
     ``a1``, and forms ``m00*a0 + m01*a1`` and ``m10*a0 + m11*a1``.  A diagonal
-    matrix instead scales each side by its factor unless that is exactly 1.
-    numpy's complex products round by operand order and by loop, so each
-    product is written as the engine's contract has it: ``m * a`` into a
-    fresh array for a full matrix, ``a *= m`` for a diagonal one.
+    matrix instead scales each side by its factor unless that is exactly 1,
+    and an X swaps the sides.  numpy's complex products round by operand
+    order and by loop, so each product is written as the engine's contract
+    has it: ``m * a`` into a fresh array for a full matrix, ``a *= m`` for a
+    diagonal one.
     """
     bit = 1 << (n - 1 - target)
     mask = sum(1 << (n - 1 - c) for c in controls)
@@ -223,6 +224,8 @@ def pair_oracle(amps: np.ndarray, n: int, matrix: np.ndarray, target: int, contr
             if factor != 1:
                 side *= factor
             out[index] = side
+    elif m00 == 0 and m11 == 0 and m01 == 1 and m10 == 1:
+        out[i0], out[i1] = a1, a0
     else:
         out[i0] = m00 * a0 + m01 * a1
         out[i1] = m10 * a0 + m11 * a1

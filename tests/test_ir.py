@@ -7,6 +7,7 @@ import pickle
 import re
 from contextlib import ExitStack
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -125,6 +126,18 @@ class TestGateType:
     def test_fixed_gate_rejects_angle(self):
         with pytest.raises(ValueError):
             Gate(GateKind.HADAMARD, 1.0)
+
+    @pytest.mark.parametrize("angle", [True, False, np.True_])
+    def test_bool_angle_is_a_type_error(self, angle):
+        with pytest.raises(TypeError, match="^gate angle must be a real number, got "):
+            Gate(GateKind.RX, angle)
+        with pytest.raises(ValueError, match="takes no angle"):
+            Gate(GateKind.HADAMARD, angle)
+        process = new_process()
+        (q,) = process.alloc(1)
+        with pytest.raises(TypeError):
+            qvm.rx(angle, q)
+        assert process.code.instructions == (Alloc(1),)
 
     def test_kind_may_be_given_by_name(self):
         assert Gate("rx", 0.5) == Gate(GateKind.RX, 0.5)

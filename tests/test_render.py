@@ -62,6 +62,12 @@ class TestRecognizer:
     def test_complex_amplitude_never_matches(self):
         assert recognize_sqrt_fraction(0.3 + 0.4j) is None
 
+    @pytest.mark.parametrize(
+        "amplitude", [math.nan, complex(0.5, math.nan), math.inf, -math.inf, complex(math.inf, 0)]
+    )
+    def test_non_finite_amplitude_never_matches(self, amplitude):
+        assert recognize_sqrt_fraction(amplitude) is None
+
     def test_negative_real_reports_sign(self):
         assert recognize_sqrt_fraction(-SQRT1_2) == (-1, 1, 2)
 

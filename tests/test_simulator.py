@@ -217,7 +217,7 @@ class TestApplyKernel:
         assert sim._pair_products.cache_info().currsize == 1
         entry = sim._pair_products(largest, 0, (1,))  # with a control, so with a mask
         # k, partners and touched own their data; the rest are views of them
-        assert [array.base is None for array in entry] == [True, False, False, True, False, True]
+        assert [array.base is None for array in entry] == [True, False, True, False, True]
         entry_bytes = sys.getsizeof(entry) + sum(map(sys.getsizeof, entry))
         assert entry_bytes * sim._pair_products.cache_info().maxsize <= 8 << 20
 
@@ -234,7 +234,7 @@ class TestApplyKernel:
         ]
         state = StateVector.zero(n)
         sim._pair_products.cache_clear()
-        # one gate of each product: dense, X, other anti-diagonal and diagonal
+        # one gate of each rule, and a Y, which sums products: dense, X, Y and diagonal
         for gate in (
             Gate(GateKind.HADAMARD),
             Gate(GateKind.PAULI_X),
@@ -248,13 +248,14 @@ class TestApplyKernel:
         assert sim._pair_products.cache_info().currsize == 0  # nothing cached
         assert state.amps[0] == 1 and not state.amps[1:].any()
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", [*range(1, 9), 13])
     def test_matches_pair_oracle_in_the_sign_of_zeros(self, n):
         # np.array_equal finds -0.0 equal to 0.0, so this compares bit patterns,
-        # on states whose components are often zeros of either sign; products
-        # run at n <= 6 and gathered pairs above.  Anti-diagonal matrices are left
-        # out: the oracle forms 0 * a0 + m01 * a1, where the kernel swaps the
-        # sides or scales them alone.
+        # on states whose components are often zeros of either sign, for every
+        # rule: diagonal, X, and products for the rest, anti-diagonal ones too.
+        # Products run at n <= 6, gathered pairs at n = 7, 8, and pair views at
+        # n = 13, whose sides with at most one control hold _IN_PLACE_MIN or more.
+        assert 1 << (13 - 2) >= qvm.simulator._IN_PLACE_MIN
         rng = np.random.default_rng(n)
         matrices = [
             gate_matrix(Gate(GateKind.HADAMARD)),
@@ -262,12 +263,15 @@ class TestApplyKernel:
             gate_matrix(Gate(GateKind.RZ, 0.7)),
             gate_matrix(Gate(GateKind.PHASE, 0.7)),
             gate_matrix(Gate(GateKind.PAULI_Z)),
+            gate_matrix(Gate(GateKind.PAULI_X)),
+            gate_matrix(Gate(GateKind.PAULI_Y)),
+            np.array([[0, np.exp(0.3j)], [np.exp(-1.1j), 0]]),
         ]
         for case in range(60):
             target = int(rng.integers(n))
             others = [q for q in range(n) if q != target]
             rng.shuffle(others)
-            controls = others[: rng.integers(0, n)]
+            controls = others[: rng.integers(0, n if n <= 8 else 2)]
             amps = rng.choice([0.0, -0.0, 0.6, -0.8, 1.5], size=2 << n).view(complex)
             matrix = matrices[case % len(matrices)]
             expected = pair_oracle(amps, n, matrix, target, controls)
