@@ -143,7 +143,11 @@ class Gate:
             # the class test first keeps the common float angle off isinstance
             if self.angle.__class__ is not float and isinstance(self.angle, (bool, np.bool_)):
                 raise TypeError(f"gate angle must be a real number, got {self.angle!r}")
-            if self.angle is None or not math.isfinite(self.angle):
+            try:
+                finite = self.angle is not None and math.isfinite(self.angle)
+            except OverflowError:  # an integer past a float's range
+                finite = False
+            if not finite:
                 raise ValueError(f"gate {self.kind.value!r} requires a finite angle")
             object.__setattr__(self, "angle", float(self.angle))
         elif self.angle is not None:

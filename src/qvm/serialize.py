@@ -111,8 +111,6 @@ def _decode_instruction(obj: Any) -> Instruction:
             gate = Gate(_need(obj, "kind"), angle)  # Gate judges the kind and the angle
         except ValueError as exc:
             raise MalformedCode(str(exc)) from None
-        except OverflowError:
-            raise MalformedCode(f"angle of gate {obj['kind']!r} is too large") from None
         return GateApp(gate, _need(obj, "target"), _array(obj, "controls"))
     if op == "measure":
         return Measure(_array(obj, "qubits"), _need(obj, "future"))

@@ -13,47 +13,44 @@ the half of the state in which that qubit reads 0 or 1, again as a view.
   diagonal one (Z, RZ, phase and their controlled forms, most of a QFT) only
   scales the sides whose factor is not exactly 1.  An X (and so CNOT and any
   multi-controlled X) swaps the sides.  Any other matrix (H, RX, RY, Y)
-  forms the products ``m[i, j] * a_j`` and sums them in pairs.  Three forms
+  forms the products ``m[i, j] * a_j`` and sums them in pairs.  Two forms
   do this, with the same products and sums bit for bit, and leave every
-  other amplitude as it was, the sign of a zero too.  On a state of at most
-  ``_PRODUCT_MAX`` amplitudes (n <= 6), a gate is whole-state products:
-  amplitude ``i`` becomes ``c0[i] * a[i] + c1[i] * a[p[i]]``, with the
-  coefficients taken from the matrix at indices that, with the partner
-  index ``p``, come from a bounded cache keyed by ``(n, target,
-  controls)``; the result is written only where the gate acts.  A diagonal
-  gate is one product, an X one gather, and any other one gather of every
-  amplitude with its partner, one product of both with their coefficients,
-  and a sum.  On larger states, and for a diagonal gate with a factor of
-  exactly 1 or sides of one amplitude, sides of fewer than
-  ``_IN_PLACE_MIN`` amplitudes are gathered by flat index, from a bounded
-  cache keyed by ``(n, target, controls)``, into a contiguous ``(2, half)``
-  array, and the result is scattered back; a dense gate forms all four
-  products in one broadcast multiply.  Larger sides are one pair view, with
-  every control axis at ``1:2`` and the target axis moved to the front, its
-  index and axis order again from a cache, and a dense gate copies one side
-  and writes both in place through one more half-state buffer.
+  other amplitude as it was, the sign of a zero too.  Sides of fewer than
+  ``_IN_PLACE_MIN`` amplitudes work by flat index: a bounded cache keyed by
+  ``(n, target, controls)`` lists the touched amplitudes, each one's
+  partner ``p`` across the target bit, the two sides, and where in the flat
+  matrix each amplitude's coefficients ``c0`` (its own) and ``c1`` (its
+  partner's) lie.  A diagonal gate is one product ``a * c0`` over the
+  touched amplitudes, or scales each side alone when a factor is exactly 1
+  or a side is one amplitude; an X gathers the partners; and any other gate
+  is ``c0 * a + c1 * a[p]``, one gather of both, one product and one sum.
+  The result is written only where the gate acts.  Larger sides are one
+  pair view, with every control axis at ``1:2`` and the target axis moved
+  to the front, its index and axis order again from a cache, and a dense
+  gate copies one side and writes both in place through one more
+  half-state buffer.
 - A measurement sums ``|amplitude|²`` over the unmeasured axes, samples an
   outcome, and keeps only that outcome's slice.
 - A dump checks every group of amplitudes (one per pattern of the unselected
   qubits) against one reference group in a single rank-1 residual.
 
-Temporary memory per call, for a state of S = 16·2^n bytes.  In whole-state
-products, whose state is at most 1 KiB: a diagonal gate at most 2·S (its
-coefficients and product), an X at most S (the gathered partners), and a
-dense one at most 4·S (both coefficients, and the state and its partners);
-each cached entry keeps 2^(n+1) coefficient indices and 2^(n+1) partner
-indices of 8 bytes, and 2^n flags.  On gathered sides, whose state is under
-64 KiB: a diagonal gate at most 0.5·S (one gathered side), an X at most S
-(the gathered pair), and a dense one at most 3·S (the gathered pair, then
-the four products and their sums); each cached index entry keeps 2^n
-indices of 8 bytes.  On a pair view: a diagonal gate allocates nothing; an
-X at most S (numpy's copy of the reversed pair, which overlaps its
-destination), and a dense one at most S (the copy of one side and one
-product), each plus numpy's iteration buffers of 8192 amplitudes per
-strided operand.  A measurement takes at most S (the squared magnitudes,
-then the kept slice), and a dump at most 2·S (a copy of the groups where
-their layout is not a view of the state, and one buffer for projections and
-residuals).
+Temporary memory per call, for a state of S = 16·2^n bytes of which a gate
+with c controls touches t = S / 2^c:
+
+    rule                     by flat index           on a pair view
+    diagonal, one product    2·t, 3·t controlled     nothing
+    diagonal, side by side   t / 2                   nothing
+    X                        t                       S
+    any other matrix         4·t                     S
+
+By flat index t is under 64 KiB: the gathered amplitudes, coefficients,
+products and sums are each t or 2·t, and each cached entry keeps 2.5·t bytes
+of indices.  On a pair view, an X copies the reversed pair, which overlaps
+its destination, and a dense gate one side and one product, each plus
+numpy's iteration buffers of 8192 amplitudes per strided operand.  A
+measurement takes at most S (the squared magnitudes, then the kept slice),
+and a dump at most 2·S (a copy of the groups where their layout is not a
+view of the state, and one buffer for projections and residuals).
 
 ``execute`` runs the flat ops that ``QuantumCode.validate`` returns, as they
 are: a conditioned block is a forward jump, with no tree walk, recursion or
@@ -90,43 +87,27 @@ DUST = 1e-12
 # integer, so indexing every axis still yields a view.
 _READS = (slice(0, 1), slice(1, 2))
 
-# On states of more than _PRODUCT_MAX amplitudes, gates whose sides hold at
-# least this many amplitudes (32 KiB) work on a strided view of the state, and
-# a dense one updates it in place, in six ufunc calls through one half-state
-# buffer.  Smaller ones gather their pairs by flat index into a contiguous
-# ``(2, half)`` array and scatter the result back; a dense one forms all four
-# products in one broadcast multiply, an array twice the state, and adds them
-# in pairs.  Per RY with 0-1 controls on a 2-vCPU x86-64 host, averaged over
-# targets, the gathered form took 0.4-0.75x the in-place time on sides of
-# 2^7-2^10 amplitudes, and up to 2.6x on 2^11, where its product array
-# reaches glibc's 128 KiB mmap threshold.  An X gathered took 0.8-1.6x the
-# view's time on sides of 2^7-2^10.
+# Gates whose sides hold at least this many amplitudes (32 KiB) work on a
+# strided view of the state, and a dense one updates it in place, in six
+# ufunc calls through one half-state buffer; smaller ones work by flat index.
+# Per call on a 2-vCPU x86-64 host, averaged over targets, with this bound
+# forced each way in one process, the flat-index form took 0.38-0.91x the
+# view's time on sides of 2^8-2^9 amplitudes for H, X, RY, RZ and phase with
+# 0-2 controls, and 0.54-1.06x on 2^10.  On 2^11 it took 0.65-0.94x without
+# controls but up to 1.32x with them, and on 2^12 up to 3.2x.
 _IN_PLACE_MIN = 1 << 11
 
-# Entries kept by the caches keyed by (n, target, controls): of pair views,
-# and of whole-state product indices.  A program with more distinct qubit
-# patterns than this recomputes the least recently used.  A product entry, on
-# at most _PRODUCT_MAX amplitudes, is under 3 KiB with its array headers, so
-# that cache holds at most about 3 MiB.
+# Entries kept by the cache of pair views, keyed by (n, target, controls).  A
+# program with more distinct qubit patterns than this recomputes the least
+# recently used.
 _CACHE_SIZE = 1024
 
-# Entries kept by the cache of gathered pair indices, which the product cache
-# below also builds from.  Its largest entry, at sides of _IN_PLACE_MIN / 2,
-# is 2^11 indices of 8 bytes (16 KiB) plus under 1 KiB of array headers, so
-# at this size it holds at most about 4.3 MiB.
-_GATHER_CACHE_SIZE = 256
-
-# States of at most this many amplitudes (1 KiB) take a gate as whole-state
-# products, where numpy's dispatch, not arithmetic, is most of a call's time.
-# Per call on a 2-vCPU x86-64 host, against the gathered form, the products
-# took 0.5-0.95x its time at n <= 7 for H, X, Y, RY and RZ with 0-2 controls;
-# at n = 8 0.45-1.3x, losing on dense gates with 2 controls, and at n >= 9
-# up to 2x on every controlled dense gate, since they compute the whole state
-# where the gathered form computes only the pairs.  A diagonal gate with a
-# factor of exactly 1, as a phase gate, took 1.1-1.3x the gathered form's
-# time even at n = 2, and scaling that side by 1 could flip the sign of a
-# zero, so such a gate keeps the gathered form, which skips the side.
-_PRODUCT_MAX = 1 << 6
+# Entries kept by the cache of flat indices, keyed the same way.  Its largest
+# entry, for a gate without controls at sides of _IN_PLACE_MIN / 2, is 5·2^11
+# indices of 8 bytes (80 KiB) plus under 1 KiB of array headers, so at this
+# size it holds at most about 7.6 MiB.  The benchmark's programs use at most
+# 91 patterns per process.
+_GATHER_CACHE_SIZE = 96
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -216,48 +197,31 @@ def _pair_index(n: int, target: int, controls: tuple[int, ...]):
 
 @functools.lru_cache(maxsize=_GATHER_CACHE_SIZE)
 def _pair_gather(n: int, target: int, controls: tuple[int, ...]):
-    """Flat indices of a gate's pairs, for sides below ``_IN_PLACE_MIN``.
+    """Flat indices of a gate's amplitudes, for sides below ``_IN_PLACE_MIN``.
 
-    ``pairs`` is the pair view of the flat indices, as a ``(2, half)`` array:
-    row 0 lists in ascending order every index whose target bit is 0 and
-    whose control bits are all 1, and row 1 the same indices with the target
-    bit set.  Returns ``pairs``, its two rows and its rows swapped, all views
-    of one read-only array, since numpy is slow to split an array per call.
-    The qubit checks run in ``_pair_index``.
+    Row 0 of ``rows`` lists in ascending order every index whose control
+    bits are all 1, and row 1 each one's partner across the target bit.
+    ``k`` holds the index, in the flat matrix, of the coefficient of each
+    amplitude in row 0 (``m00`` or ``m11``) and of its partner's (``m01``
+    or ``m10``), and ``side0`` and ``side1`` the indices of row 0 whose
+    target bit is 0 and 1.  Returns ``at``, where the kernel writes (row 0,
+    or the whole state for a gate without controls, which touches every
+    amplitude), ``rows``, row 1, ``k``, ``k[0]`` and the two sides, all
+    read-only and split here, since numpy is slow to split an array per
+    call.  The qubit checks run on a miss, and a failing one raises, so only
+    valid triples are cached.
     """
-    index, perm = _pair_index(n, target, controls)
-    pairs = np.arange(1 << n).reshape((2,) * n)[index].transpose(perm).reshape(2, -1).copy()
-    pairs.setflags(write=False)
-    return pairs, pairs[0], pairs[1], pairs[::-1]
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _pair_products(n: int, target: int, controls: tuple[int, ...]):
-    """Indices of a gate's whole-state products, on ``2^n <= _PRODUCT_MAX`` amplitudes.
-
-    The gate maps each amplitude ``i`` it touches to ``c0[i] * a[i] + c1[i] *
-    a[p[i]]``: ``p[i]`` is the other side of the pair, and ``c0``, ``c1`` are
-    the flat matrix taken at ``k0``, ``k1``, so ``m00``, ``m01`` on side 0 and
-    ``m11``, ``m10`` on side 1.  An untouched amplitude has ``p[i] = i`` and
-    the indices of side 0, and the kernel writes only where ``touched`` is
-    True: a mask, or True itself for a gate without controls, which touches
-    every amplitude and so skips numpy's slower masked loop.  Returns ``k``
-    (the rows ``k0`` and ``k1``), ``k0``, ``partners`` (the rows ``i`` and
-    ``p``), ``p`` and ``touched``, all read-only and split here,
-    since numpy is slow to split an array per call.  The qubit checks run in
-    ``_pair_index``, through ``_pair_gather``.
-    """
-    _, i0, i1, _ = _pair_gather(n, target, controls)
-    k = np.zeros((2, 1 << n), dtype=np.intp)
-    k[1] = 1
-    k[0, i1], k[1, i1] = 3, 2
-    partners = np.stack((np.arange(1 << n),) * 2)
-    partners[1, i0], partners[1, i1] = i1, i0
-    touched = np.zeros(1 << n, dtype=bool)
-    touched[i0] = touched[i1] = True
-    for array in (k, partners, touched):
+    _check_qubits(n, (target, *controls), f"target {target} and controls {controls} overlap")
+    bit = 1 << (n - 1 - target)
+    mask = sum(1 << (n - 1 - c) for c in controls)
+    indices = np.arange(1 << n)
+    at = indices[indices & mask == mask]
+    upper = at & bit != 0
+    rows, k = np.stack((at, at ^ bit)), np.stack((3 * upper, 1 + upper))
+    side0, side1 = at[~upper], at[upper]
+    for array in (rows, k, side0, side1):
         array.setflags(write=False)
-    return k, k[0], partners, partners[1], touched if controls else True
+    return rows[0] if controls else slice(None), rows, rows[1], k, k[0], side0, side1
 
 
 def apply_kernel(
@@ -271,63 +235,49 @@ def apply_kernel(
     Touches exactly the amplitude pairs that differ in the target bit and
     have every control bit set to 1.  ``matrix`` is only read, so the shared
     read-only matrices that gates carry serve every call; the checked
-    indices come from the caches of ``_pair_products``, ``_pair_gather`` and
-    ``_pair_index``.
+    indices come from the caches of ``_pair_gather`` and ``_pair_index``.
     """
     controls = tuple(controls)
     (m00, m01), (m10, m11) = matrix.tolist()
     # Three rules, in each form: a diagonal matrix scales the sides, an X
     # swaps them, and any other matrix, a Y too, sums the products of both
-    # sides, zero ones included, as the pair oracle does.  Each product puts
-    # the factor first and writes to memory apart from its input, or to
-    # exactly its input, or, for a diagonal factor, scales its side in
-    # place: numpy's vector loop rounds ``m * a`` and ``a * m``
-    # differently and falls back to a scalar loop, which rounds differently
-    # again, when an output interleaves with an input or is its own input of
-    # one element.  An output that is its own contiguous input of two or more
-    # elements rounds as a fresh one.  Whole-state products are fresh, over
-    # the whole state, and written back only where the gate acts, so an
-    # untouched amplitude keeps its bits, the sign of a zero too; a diagonal
-    # gate whose sides hold one amplitude keeps the gathered form, which
-    # scales that amplitude alone in place, as the pair oracle does.  This
-    # was seen with numpy 2.4.6 on an x86-64 host with AVX-512; it is
-    # observed behaviour, not a numpy guarantee.  If the bit-exact
-    # pair-oracle test fails after a numpy or CPU change while the amplitudes
-    # agree to an ulp, suspect that change first.
+    # sides, zero ones included, as the pair oracle does.  numpy's vector
+    # loop rounds ``m * a`` and ``a * m`` differently, and falls back to a
+    # scalar loop, which rounds differently again, when an output
+    # interleaves with an input or is its own input of one element; an
+    # output that is its own contiguous input of two or more elements rounds
+    # as a fresh one.  So each product writes to fresh memory or to exactly
+    # its input, with the coefficient first in a dense gate and the amplitude
+    # first in a diagonal one, as the oracle's in-place scaling does.  A
+    # diagonal gate scales a side of one amplitude alone in place, as the
+    # oracle does, and skips a factor of exactly 1, since scaling by it can
+    # flip the sign of a zero.  This was seen with numpy 2.4.6 on an x86-64
+    # host with AVX-512; it is observed behaviour, not a numpy guarantee.  If
+    # the bit-exact pair-oracle test fails after a numpy or CPU change while
+    # the amplitudes agree to an ulp, suspect that change first.
     amps = state.amps
     diagonal = m01 == 0 and m10 == 0
     swap = m00 == 0 and m11 == 0 and m01 == 1 and m10 == 1
-    if len(amps) <= _PRODUCT_MAX and not (
-        diagonal and (m00 == 1 or m11 == 1 or len(controls) >= state.n - 1)
-    ):
-        k, k0, partners, p, touched = _pair_products(state.n, target, controls)
-        flat = matrix.ravel()
-        if diagonal:
-            np.copyto(amps, np.multiply(amps, flat[k0]), where=touched)
-        elif swap:
-            amps[...] = amps[p]
-        else:
-            pair = amps[partners]
-            np.multiply(flat[k], pair, out=pair)
-            np.add(pair[0], pair[1], out=amps, where=touched)
-        return state
     # sides of 2^(n-1-c) amplitudes; more controls than qubits fail the checks
     if len(amps) >> len(controls) < 2 * _IN_PLACE_MIN:
-        pairs, i0, i1, swapped = _pair_gather(state.n, target, controls)
-        if diagonal:
-            for side, factor in ((i0, m00), (i1, m11)):
+        at, rows, p, k, k0, side0, side1 = _pair_gather(state.n, target, controls)
+        if diagonal and (m00 == 1 or m11 == 1 or len(controls) >= state.n - 1):
+            for side, factor in ((side0, m00), (side1, m11)):
                 if factor != 1:
                     gathered = amps[side]
                     gathered *= factor
                     amps[side] = gathered
+        elif diagonal:
+            amps[at] = np.multiply(amps[at], matrix.ravel()[k0])
         elif swap:
-            amps[pairs] = amps[swapped]
+            amps[at] = amps[p]
         else:
-            # all four products m[i, j] * a_j in one fresh array, summed in
-            # pairs; the sum of two terms does not depend on their order, so
-            # this is m00*a0 + m01*a1 and m10*a0 + m11*a1 bit for bit
-            prod = np.multiply(matrix.reshape(2, 2, 1), amps[pairs])
-            amps[pairs] = np.add(prod[:, 0], prod[:, 1])
+            pair = amps[rows]
+            np.multiply(matrix.ravel()[k], pair, out=pair)
+            if controls:
+                amps[at] = np.add(pair[0], pair[1])
+            else:  # every amplitude, in index order
+                np.add(pair[0], pair[1], out=amps)
         return state
     index, perm = _pair_index(state.n, target, controls)
     pair = state.tensor()[index].transpose(perm)

@@ -122,6 +122,15 @@ class TestGateType:
             Gate(GateKind.RX)
         with pytest.raises(ValueError):
             Gate(GateKind.RY, math.inf)
+        # an integer past a float's range is a bad angle too, not an arithmetic error
+        for angle in (10**400, -(10**400)):
+            with pytest.raises(ValueError, match="^gate 'rx' requires a finite angle$"):
+                Gate("rx", angle)
+            process = new_process()
+            (q,) = process.alloc(1)
+            with pytest.raises(ValueError, match="^gate 'rx' requires a finite angle$"):
+                qvm.rx(angle, q)
+            assert process.code.instructions == (Alloc(1),)
 
     def test_fixed_gate_rejects_angle(self):
         with pytest.raises(ValueError):

@@ -171,13 +171,11 @@ class TestApplyKernel:
             with pytest.raises(IndexOverlap):
                 apply_kernel(StateVector.zero(3), x, 1, [0, 1])
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 11])
     def test_index_errors_raise_on_every_call_at_gathered_sizes(self, n):
-        # every call below has sides under _IN_PLACE_MIN, so it reads _pair_gather's
-        # cache: through _pair_products on states of at most _PRODUCT_MAX amplitudes
-        # (n = 1, 2, 5), and directly on larger ones (n = 11)
-        assert 1 << (n - 1) < qvm.simulator._IN_PLACE_MIN
-        x = gate_matrix(Gate(GateKind.PAULI_X))
+        # every call below has sides under _IN_PLACE_MIN, so it reads _pair_gather's cache
+        sim = qvm.simulator
+        assert 1 << (n - 1) < sim._IN_PLACE_MIN
         cases = [
             (n, (), IndexOutOfRange),
             (-1, (), IndexOutOfRange),
@@ -186,10 +184,19 @@ class TestApplyKernel:
             (n - 1, (0,) * (n + 1), IndexOverlap),  # more controls than qubits
         ]
         state = StateVector.zero(n)
-        for target, controls, error in cases:
-            for _ in range(3):
-                with pytest.raises(error):
-                    apply_kernel(state, x, target, controls)
+        sim._pair_gather.cache_clear()
+        # one gate of each rule, and a Y, which sums products: dense, X, Y and diagonal
+        for gate in (
+            Gate(GateKind.HADAMARD),
+            Gate(GateKind.PAULI_X),
+            Gate(GateKind.PAULI_Y),
+            Gate(GateKind.RZ, 0.5),
+        ):
+            for target, controls, error in cases:
+                for _ in range(3):
+                    with pytest.raises(error):
+                        apply_kernel(state, gate_matrix(gate), target, controls)
+        assert sim._pair_gather.cache_info().currsize == 0  # nothing cached
         assert state.amps[0] == 1 and not state.amps[1:].any()
 
     def test_gathered_index_cache_holds_at_most_8_mib(self):
@@ -202,59 +209,39 @@ class TestApplyKernel:
         apply_kernel(StateVector.zero(largest + 1), x, 0)  # sides of _IN_PLACE_MIN: a view
         assert sim._pair_gather.cache_info().currsize == 1
         entry = sim._pair_gather(largest, 0, ())
-        assert entry[0].base is None  # the one array that owns the indices
+        # each array owns its indices or is a view of one the entry holds, so the
+        # sum below counts every index once
+        arrays = [item for item in entry if isinstance(item, np.ndarray)]
+        assert all(a.base is None or any(a.base is b for b in arrays) for a in arrays)
         entry_bytes = sys.getsizeof(entry) + sum(map(sys.getsizeof, entry))
         assert entry_bytes * sim._pair_gather.cache_info().maxsize <= 8 << 20
 
-    def test_product_index_cache_holds_at_most_8_mib(self):
+    def test_gathered_indices_cannot_be_written(self):
+        # the cache's arrays are shared by every later call on the same qubits
         sim = qvm.simulator
-        h = gate_matrix(Gate(GateKind.HADAMARD))
-        largest = sim._PRODUCT_MAX.bit_length() - 1  # states of _PRODUCT_MAX amplitudes
-        sim._pair_products.cache_clear()
-        apply_kernel(StateVector.zero(largest), h, 0)
-        assert sim._pair_products.cache_info().currsize == 1
-        apply_kernel(StateVector.zero(largest + 1), h, 0)  # twice the size: gathered
-        assert sim._pair_products.cache_info().currsize == 1
-        entry = sim._pair_products(largest, 0, (1,))  # with a control, so with a mask
-        # k, partners and touched own their data; the rest are views of them
-        assert [array.base is None for array in entry] == [True, False, True, False, True]
-        entry_bytes = sys.getsizeof(entry) + sum(map(sys.getsizeof, entry))
-        assert entry_bytes * sim._pair_products.cache_info().maxsize <= 8 << 20
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 6])
-    def test_index_errors_raise_on_every_call_at_product_sizes(self, n):
-        sim = qvm.simulator
-        assert 1 << n <= sim._PRODUCT_MAX
-        cases = [
-            (n, (), IndexOutOfRange),
-            (-1, (), IndexOutOfRange),
-            (0, (n,), IndexOutOfRange),
-            (0, (0,), IndexOverlap),
-            (n - 1, (0,) * (n + 1), IndexOverlap),  # more controls than qubits
-        ]
-        state = StateVector.zero(n)
-        sim._pair_products.cache_clear()
-        # one gate of each rule, and a Y, which sums products: dense, X, Y and diagonal
-        for gate in (
-            Gate(GateKind.HADAMARD),
-            Gate(GateKind.PAULI_X),
-            Gate(GateKind.PAULI_Y),
-            Gate(GateKind.RZ, 0.5),
-        ):
-            for target, controls, error in cases:
-                for _ in range(3):
-                    with pytest.raises(error):
-                        apply_kernel(state, gate_matrix(gate), target, controls)
-        assert sim._pair_products.cache_info().currsize == 0  # nothing cached
-        assert state.amps[0] == 1 and not state.amps[1:].any()
+        largest = sim._IN_PLACE_MIN.bit_length() - 1  # sides of _IN_PLACE_MIN / 2
+        for n, controls in ((3, ()), (3, (1,)), (largest, ()), (largest + 1, (1,))):
+            assert 1 << (n - 1 - len(controls)) < sim._IN_PLACE_MIN
+            entry = sim._pair_gather(n, 0, controls)
+            arrays = [item for item in entry if isinstance(item, np.ndarray)]
+            assert len(arrays) == (7 if controls else 6)
+            for array in arrays:
+                before = array.copy()
+                with pytest.raises(ValueError):
+                    array[...] = 0
+                with pytest.raises(ValueError):
+                    array += 1
+                with pytest.raises(ValueError):
+                    np.negative(array, out=array)
+                assert np.array_equal(array, before)
 
     @pytest.mark.parametrize("n", [*range(1, 9), 13])
     def test_matches_pair_oracle_in_the_sign_of_zeros(self, n):
         # np.array_equal finds -0.0 equal to 0.0, so this compares bit patterns,
         # on states whose components are often zeros of either sign, for every
         # rule: diagonal, X, and products for the rest, anti-diagonal ones too.
-        # Products run at n <= 6, gathered pairs at n = 7, 8, and pair views at
-        # n = 13, whose sides with at most one control hold _IN_PLACE_MIN or more.
+        # Flat indices serve n <= 8, and pair views n = 13, whose sides with at
+        # most one control hold _IN_PLACE_MIN or more.
         assert 1 << (13 - 2) >= qvm.simulator._IN_PLACE_MIN
         rng = np.random.default_rng(n)
         matrices = [
