@@ -171,11 +171,31 @@ class TestApplyKernel:
             with pytest.raises(IndexOverlap):
                 apply_kernel(StateVector.zero(3), x, 1, [0, 1])
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 6, 11])
+    @pytest.mark.parametrize("n", [1, 2, 5, 11])
     def test_index_errors_raise_on_every_call_at_gathered_sizes(self, n):
         # every call below has sides under _IN_PLACE_MIN, so it reads _pair_gather's cache
+        assert 1 << (n - 1) < qvm.simulator._IN_PLACE_MIN
+        x = gate_matrix(Gate(GateKind.PAULI_X))
+        cases = [
+            (n, (), IndexOutOfRange),
+            (-1, (), IndexOutOfRange),
+            (0, (n,), IndexOutOfRange),
+            (0, (0,), IndexOverlap),
+            (n - 1, (0,) * (n + 1), IndexOverlap),  # more controls than qubits
+        ]
+        state = StateVector.zero(n)
+        for target, controls, error in cases:
+            for _ in range(3):
+                with pytest.raises(error):
+                    apply_kernel(state, x, target, controls)
+        assert state.amps[0] == 1 and not state.amps[1:].any()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_index_errors_raise_on_every_call_at_product_sizes(self, n):
+        # states of at most 64 amplitudes, the sizes of short many-shot programs,
+        # where a diagonal gate's sides can be one amplitude each
         sim = qvm.simulator
-        assert 1 << (n - 1) < sim._IN_PLACE_MIN
+        assert 1 << n <= 64
         cases = [
             (n, (), IndexOutOfRange),
             (-1, (), IndexOutOfRange),
