@@ -16,7 +16,7 @@ import json
 import sys
 from collections import Counter
 
-from .errors import EngineFailure, EntangledSelection, MalformedCode, QvmError, WrongArity
+from .errors import EngineFailure, EntangledSelection, MalformedCode, QvmError
 from .examples import EXAMPLES
 from .ir import QuantumCode, new_process
 from .render import bloch_coords, bloch_svg, parse_format, show
@@ -99,8 +99,6 @@ def _cmd_emit_ir(args: argparse.Namespace) -> int:
 
 def _cmd_bloch(args: argparse.Namespace) -> int:
     result = execute(_build_example(args.example), args.seed)
-    if not result.dumps:
-        raise WrongArity(f"example {args.example!r} produces no snapshot")
     data = result.dumps[min(result.dumps)]
     coords = bloch_coords(data)
     print(

@@ -52,8 +52,6 @@ from .errors import (
 if TYPE_CHECKING:
     from .simulator import DumpData, ExecutionResult
 
-Engine = Callable[["QuantumCode", int], "ExecutionResult"]
-
 
 class GateKind(str, Enum):
     PAULI_X = "x"
@@ -474,17 +472,16 @@ class Process:
 
     Every method that extends the program requires the process to be in the
     building state.  ``execute`` (called implicitly by the first future or
-    dump read) runs the recorded program once on the configured engine and
+    dump read) runs the recorded program once on the bundled simulator and
     caches the results; it is idempotent afterwards.
 
     A process and its handles form a single-threaded unit; distinct
     processes are independent and may run concurrently.
     """
 
-    def __init__(self, seed: int = 0, engine: Engine | None = None):
+    def __init__(self, seed: int = 0):
         self.id = next(_process_ids)
         self.seed = seed
-        self.engine = engine
         self.num_qubits = 0
         self.num_futures = 0
         self.num_dumps = 0
@@ -690,24 +687,21 @@ class Process:
     # -- execution ---------------------------------------------------------
 
     def execute(self) -> "ExecutionResult":
-        """Run the recorded program once on the configured engine; idempotent."""
+        """Run the recorded program once with ``simulator.execute``; idempotent."""
         if self._result is not None:
             return self._result
         if self._scopes:
             raise ScopeViolation("cannot execute with open scopes")
-        engine = self.engine
-        if engine is None:
-            from . import simulator
+        from . import simulator
 
-            engine = simulator.execute
-        result = engine(self.code, self.seed)
+        result = simulator.execute(self.code, self.seed)
         self._result = result
         return result
 
 
-def new_process(seed: int = 0, engine: Engine | None = None) -> Process:
-    """Create a fresh process; ``engine`` defaults to the bundled simulator."""
-    return Process(seed=seed, engine=engine)
+def new_process(seed: int = 0) -> Process:
+    """Create a fresh process whose reads run its program with ``seed``."""
+    return Process(seed=seed)
 
 
 def _process_of(qubits: Sequence[QubitHandle], what: str) -> Process:

@@ -106,7 +106,11 @@ _CACHE_SIZE = 1024
 # entry, for a gate without controls at sides of _IN_PLACE_MIN / 2, is 5·2^11
 # indices of 8 bytes (80 KiB) plus under 1 KiB of array headers, so at this
 # size it holds at most about 7.6 MiB.  The benchmark's programs use at most
-# 91 patterns per process.
+# 91 patterns per process.  A program that cycles through more patterns than
+# this misses on most of them every pass, since an LRU smaller than a loop's
+# working set evicts each entry before its next use.  On one core of a 2-vCPU
+# host, seeded 600-gate programs with 112-148 patterns at n = 8-10 took
+# 1.4-1.9x the time per execute that they took with 1024 entries.
 _GATHER_CACHE_SIZE = 96
 
 
@@ -124,9 +128,7 @@ class StateVector:
 
     @classmethod
     def zero(cls, n: int) -> "StateVector":
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[0] = 1.0
-        return cls(n, amps)
+        return cls.basis(n, 0)
 
     @classmethod
     def basis(cls, n: int, k: int) -> "StateVector":

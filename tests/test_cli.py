@@ -508,6 +508,13 @@ class TestBloch:
         assert status == 0
         assert path.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_every_example_records_a_dump(self, name):
+        # ``bloch`` reads the first dump of any example and has no branch for none
+        process = qvm.new_process()
+        EXAMPLES[name].build(process)
+        assert process.code.num_dumps >= 1
+
 
 def test_examples_listing(capsys):
     status, out, _ = run_cli(capsys, "examples")

@@ -695,14 +695,16 @@ class TestMeasureAndFutures:
         p.apply_gate(GATE_X, a)  # recording continues
         assert isinstance(p.code.instructions[-1], GateApp)
 
-    def test_value_read_executes_once_and_caches(self):
+    def test_value_read_executes_once_and_caches(self, monkeypatch):
         calls = []
+        execute = qvm.simulator.execute
 
         def engine(code, seed):
             calls.append(seed)
-            return qvm.simulator.execute(code, seed)
+            return execute(code, seed)
 
-        p = new_process(seed=3, engine=engine)
+        monkeypatch.setattr(qvm.simulator, "execute", engine)
+        p = new_process(seed=3)
         (a,) = p.alloc(1)
         qvm.x(a)
         f = p.measure([a])
@@ -711,11 +713,12 @@ class TestMeasureAndFutures:
         assert calls == [3]
         assert f.cached == 1
 
-    def test_engine_failure_propagates(self):
+    def test_engine_failure_propagates(self, monkeypatch):
         def engine(code, seed):
             raise qvm.EngineFailure("backend went away")
 
-        p = new_process(engine=engine)
+        monkeypatch.setattr(qvm.simulator, "execute", engine)
+        p = new_process()
         (a,) = p.alloc(1)
         f = p.measure([a])
         with pytest.raises(qvm.EngineFailure):
@@ -777,14 +780,16 @@ class TestInvalidationAfterExecution:
         p.adj_end()
         assert f.value == 0
 
-    def test_dump_read_twice_single_execution(self):
+    def test_dump_read_twice_single_execution(self, monkeypatch):
         calls = []
+        execute = qvm.simulator.execute
 
         def engine(code, seed):
             calls.append(seed)
-            return qvm.simulator.execute(code, seed)
+            return execute(code, seed)
 
-        p = new_process(engine=engine)
+        monkeypatch.setattr(qvm.simulator, "execute", engine)
+        p = new_process()
         (q,) = p.alloc(1)
         qvm.h(q)
         snap = p.dump_state([q])
@@ -1132,7 +1137,38 @@ def bell_code():
     return p.code
 
 
+class _GateAppSubclass(GateApp):
+    pass
+
+
+class _GateSubclass(Gate):
+    pass
+
+
+def _sub_gate_app(gate, target, controls=()):
+    return _GateAppSubclass(gate, target, controls)
+
+
+def _app_of_sub_gate(gate, target, controls=()):
+    return GateApp(_GateSubclass(gate.kind, gate.angle), target, controls)
+
+
 class TestRememberedValidation:
+    @pytest.mark.parametrize(
+        "app", [_sub_gate_app, _app_of_sub_gate], ids=["GateApp-subclass", "Gate-subclass"]
+    )
+    def test_code_with_a_gate_subclass_is_checked_again_on_every_call(self, app):
+        def build(make):
+            gates = (make(Gate(GateKind.RY, 0.3), 0), make(GATE_X, 1, (0,)))
+            return qvm.QuantumCode(2, (Alloc(2), *gates, qvm.Dump((0, 1), 0), Measure((0, 1), 0)), 1, 1)
+
+        code, exact = build(app), build(GateApp)
+        a, b = code.validate(), code.validate()
+        assert a == b and a is not b
+        assert "_ops" not in vars(code)
+        assert qvm.execute(code, 3) == qvm.execute(exact, 3)
+        assert qvm.serialize(code) == qvm.serialize(exact)
+
     def test_tuple_subclass_is_checked_again_on_every_call(self):
         bad_later = (Alloc(1), GateApp(GATE_X, 3))
         code = qvm.QuantumCode(1, ShiftingTuple((Alloc(1), GateApp(GATE_X, 0)), bad_later))

@@ -210,12 +210,13 @@ class TestTeleport:
 
 
 class TestBuilderPurity:
-    def test_routines_only_use_builder_calls(self):
+    def test_routines_only_use_builder_calls(self, monkeypatch):
         # a recording-only engine: routines must never trigger or need amplitudes
         def refuse(code, seed):
             raise AssertionError("engine must not run while recording")
 
-        p = qvm.Process(engine=refuse)
+        monkeypatch.setattr(qvm.simulator, "execute", refuse)
+        p = qvm.Process()
         qs = p.alloc(4)
         qvm.bell(qs[0], qs[1])
         qvm.qft(qs)
