@@ -480,6 +480,8 @@ class Process:
     """
 
     def __init__(self, seed: int = 0):
+        if not _is_int(seed):
+            raise TypeError(f"seed must be an integer, got {short_repr(seed)}")
         self.id = next(_process_ids)
         self.seed = seed
         self.num_qubits = 0

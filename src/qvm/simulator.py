@@ -25,10 +25,11 @@ the half of the state in which that qubit reads 0 or 1, again as a view.
   or a side is one amplitude; an X gathers the partners; and any other gate
   is ``c0 * a + c1 * a[p]``, one gather of both, one product and one sum.
   The result is written only where the gate acts.  Larger sides are one
-  pair view, with every control axis at ``1:2`` and the target axis moved
-  to the front, its index and axis order again from a cache, and a dense
-  gate copies one side and writes both in place through one more
-  half-state buffer.
+  pair view, built on every call without a cache: the flat vector reshaped
+  to an axis of 2 for each of the gate's qubits and one axis for each run
+  of other qubits around them, every control axis at ``1:2`` and the target
+  axis moved to the front.  A dense gate copies one side and writes both in
+  place through one more half-state buffer.
 - A measurement sums ``|amplitude|²`` over the unmeasured axes, samples an
   outcome, and keeps only that outcome's slice.
 - A dump checks every group of amplitudes (one per pattern of the unselected
@@ -97,20 +98,16 @@ _READS = (slice(0, 1), slice(1, 2))
 # controls but up to 1.32x with them, and on 2^12 up to 3.2x.
 _IN_PLACE_MIN = 1 << 11
 
-# Entries kept by the cache of pair views, keyed by (n, target, controls).  A
-# program with more distinct qubit patterns than this recomputes the least
-# recently used.
-_CACHE_SIZE = 1024
-
-# Entries kept by the cache of flat indices, keyed the same way.  Its largest
-# entry, for a gate without controls at sides of _IN_PLACE_MIN / 2, is 5·2^11
-# indices of 8 bytes (80 KiB) plus under 1 KiB of array headers, so at this
-# size it holds at most about 7.6 MiB.  The benchmark's programs use at most
-# 91 patterns per process.  A program that cycles through more patterns than
-# this misses on most of them every pass, since an LRU smaller than a loop's
-# working set evicts each entry before its next use.  On one core of a 2-vCPU
-# host, seeded 600-gate programs with 112-148 patterns at n = 8-10 took
-# 1.4-1.9x the time per execute that they took with 1024 entries.
+# Entries kept by the cache of flat indices, the kernel's only cache, keyed by
+# (n, target, controls).  Its largest entry, for a gate without controls at
+# sides of _IN_PLACE_MIN / 2, is 5·2^11 indices of 8 bytes (80 KiB) plus under
+# 1 KiB of array headers, so at this size it holds at most about 7.6 MiB.  The
+# benchmark's programs use at most 91 patterns per process.  A program that
+# cycles through more patterns than this misses on most of them every pass,
+# since an LRU smaller than a loop's working set evicts each entry before its
+# next use.  On one core of a 2-vCPU host, seeded 600-gate programs with 112-148
+# patterns at n = 8-10 took 1.4-1.9x the time per execute that they took with
+# 1024 entries.
 _GATHER_CACHE_SIZE = 96
 
 
@@ -119,7 +116,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     return gate.matrix
 
 
-@dataclass
+@dataclass(eq=False)  # compared and hashed by identity: == on arrays has no truth value
 class StateVector:
     """2**n complex amplitudes in a flat vector; the engine's ground truth."""
 
@@ -172,29 +169,15 @@ class ExecutionResult:
     dumps: dict[int, DumpData]
 
 
-def _check_qubits(n: int, qubits: tuple[int, ...], overlap: str) -> None:
-    """Raise unless every qubit exists in an ``n``-qubit state and none repeats."""
+def _check_qubits(n: int, qubits: tuple[int, ...], what: str) -> None:
+    """Raise unless the ``what`` selection ``qubits`` is not empty, in range and distinct."""
+    if not qubits:
+        raise ValueError(f"{what} selection is empty")
     for q in qubits:
         if not 0 <= q < n:
             raise IndexOutOfRange(f"qubit {q} out of range for {n}-qubit state")
     if len(set(qubits)) != len(qubits):
-        raise IndexOverlap(overlap)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _pair_index(n: int, target: int, controls: tuple[int, ...]):
-    """Index and axis order of a gate's pair view.
-
-    ``state.tensor()[index].transpose(perm)`` holds every amplitude the gate
-    touches, with the target axis first.  The qubit checks run on a miss, and
-    a failing one raises, so only valid triples are cached.
-    """
-    _check_qubits(n, (target, *controls), f"target {target} and controls {controls} overlap")
-    index = [slice(None)] * n
-    for c in controls:
-        index[c] = _READS[1]
-    perm = (target, *(q for q in range(n) if q != target))
-    return tuple(index), perm
+        raise IndexOverlap(f"{what} qubits {qubits} overlap")
 
 
 @functools.lru_cache(maxsize=_GATHER_CACHE_SIZE)
@@ -213,7 +196,7 @@ def _pair_gather(n: int, target: int, controls: tuple[int, ...]):
     call.  The qubit checks run on a miss, and a failing one raises, so only
     valid triples are cached.
     """
-    _check_qubits(n, (target, *controls), f"target {target} and controls {controls} overlap")
+    _check_qubits(n, (target, *controls), "gate")
     bit = 1 << (n - 1 - target)
     mask = sum(1 << (n - 1 - c) for c in controls)
     indices = np.arange(1 << n)
@@ -236,8 +219,10 @@ def apply_kernel(
 
     Touches exactly the amplitude pairs that differ in the target bit and
     have every control bit set to 1.  ``matrix`` is only read, so the shared
-    read-only matrices that gates carry serve every call; the checked
-    indices come from the caches of ``_pair_gather`` and ``_pair_index``.
+    read-only matrices that gates carry serve every call.  Small gates take
+    their checked flat indices from ``_pair_gather``'s cache; larger ones
+    check their qubits and reshape the state into their pair view on every
+    call.
     """
     controls = tuple(controls)
     (m00, m01), (m10, m11) = matrix.tolist()
@@ -281,8 +266,21 @@ def apply_kernel(
             else:  # every amplitude, in index order
                 np.add(pair[0], pair[1], out=amps)
         return state
-    index, perm = _pair_index(state.n, target, controls)
-    pair = state.tensor()[index].transpose(perm)
+    # An axis of 2 per gate qubit and one per run of other qubits around them
+    # (of 1 where a run is empty), controls read at 1, and the target axis
+    # moved to the front with the rest in order, so a side copies in memory
+    # order: 2c + 3 axes for c controls.  Sides of _IN_PLACE_MIN or more bound
+    # c by n - 12, so MAX_QUBITS = 24 gives at most 27 axes, under numpy 1.x's
+    # limit of 32.
+    _check_qubits(state.n, (target, *controls), "gate")
+    shape, index, start = [], [], 0
+    for q in (qubits := sorted((target, *controls))):
+        shape += (1 << (q - start), 2)
+        index += (slice(None), slice(None) if q == target else _READS[1])
+        start = q + 1
+    front = 1 + 2 * qubits.index(target)  # the target's axis
+    view = amps.reshape(*shape, 1 << (state.n - start))[tuple(index)]
+    pair = view.transpose(front, *range(front), *range(front + 1, view.ndim))
     if diagonal:
         for side, factor in ((pair[:1], m00), (pair[1:], m11)):
             if factor != 1:
@@ -312,7 +310,7 @@ def measure_kernel(
     """
     qubits = tuple(qubits)
     n = state.n
-    _check_qubits(n, qubits, "measured qubits must be distinct")
+    _check_qubits(n, qubits, "measurement")
     tensor = state.tensor()
     rest = tuple(q for q in range(n) if q not in qubits)
     # the sum keeps the measured axes in ascending qubit order
@@ -352,11 +350,8 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     phase in (-π/2, π/2].
     """
     qubits = tuple(qubits)
-    n = state.n
-    if not qubits:
-        raise ValueError("dump selection is empty")
-    _check_qubits(n, qubits, "dumped qubits must be distinct")
-    rest = [q for q in range(n) if q not in qubits]
+    _check_qubits(state.n, qubits, "dump")
+    rest = [q for q in range(state.n) if q not in qubits]
     # a view of the state (never written) wherever the strides allow, as for
     # the trailing qubits in order; a copy otherwise
     groups = state.tensor().transpose(rest + list(qubits)).reshape(-1, 1 << len(qubits))

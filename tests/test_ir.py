@@ -91,6 +91,23 @@ class TestProcessBasics:
             p.alloc(5)
         assert [h.index for h in p.alloc(4)] == [20, 21, 22, 23]
 
+    @pytest.mark.parametrize("seed", [1.5, "1", True, False], ids=["float", "str", "True", "False"])
+    def test_seed_must_be_an_integer(self, seed):
+        # rejected at the call that made the mistake, not at the first read
+        with pytest.raises(TypeError, match="^seed must be an integer, got "):
+            new_process(seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, -(1 << 70), 1 << 64, (1 << 64) + 7, 10**30])
+    def test_negative_and_wide_seeds_run_as_their_low_64_bits(self, seed):
+        futures = []
+        for s in (seed, seed & ((1 << 64) - 1)):
+            p = new_process(seed=s)
+            qubits = p.alloc(8)
+            for q in qubits:
+                qvm.h(q)
+            futures.append(p.measure(qubits))
+        assert futures[0].value == futures[1].value
+
     def test_repr_names_id_qubit_count_and_state(self):
         p = new_process()
         p.alloc(2)

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import gc
+import itertools
 import math
 import os
 import pickle
@@ -134,6 +135,17 @@ class TestGateMatrices:
         m = gate_matrix(gate)
         assert np.abs(m @ m.conj().T - np.eye(2)).max() < 1e-12
         assert np.abs(gate_matrix(gate.inverse()) - m.conj().T).max() < 1e-12
+
+
+class TestStateVector:
+    def test_states_compare_and_hash_by_identity(self):
+        # a generated == would compare the amplitude arrays and raise numpy's
+        # "truth value of an array is ambiguous"
+        state, twin = StateVector.basis(2, 1), StateVector.basis(2, 1)
+        assert state == state and not state != state
+        assert state != twin and not state == twin
+        assert hash(state) == hash(state)
+        assert len({state, twin, state}) == 2
 
 
 class TestApplyKernel:
@@ -350,6 +362,40 @@ class TestApplyKernel:
         # the row's views lie below _IN_PLACE_MIN (False), from it on (True), or both
         assert in_place == forms
 
+    @pytest.mark.parametrize("n, count", [(13, 0), (13, 1), (14, 2)])
+    def test_every_pair_view_layout_matches_pair_oracle_bit_for_bit(self, n, count):
+        # A pair view reshapes the state around the gate's qubits, so its layout
+        # depends on where the target lies among the controls and on which runs
+        # of other qubits before, between and after them are empty.  This takes
+        # every target with every set of `count` controls, each with one rule in
+        # turn, on a state with zeros of either sign, and compares bit patterns.
+        assert 1 << (n - 1 - count) >= qvm.simulator._IN_PLACE_MIN
+        rng = np.random.default_rng(n + count)
+        parts = rng.normal(size=2 << n)
+        parts[rng.random(2 << n) < 0.2] = 0.0
+        parts[rng.random(2 << n) < 0.1] = -0.0
+        base = parts.view(complex)
+        a, b, c = (complex(np.exp(1j * angle)) for angle in (0.3, -1.1, 2.0))
+        matrices = [
+            np.diag([1, a]),  # diagonal with a factor of exactly 1
+            np.diag([a, b]),
+            gate_matrix(Gate(GateKind.PAULI_X)),
+            np.array([[0.6 * a, -0.8 * b], [0.8 * c, 0.6 * c * b / a]]),  # dense
+        ]
+        patterns = [
+            (target, controls)
+            for target in range(n)
+            for controls in itertools.combinations([q for q in range(n) if q != target], count)
+        ]
+        for case, (target, controls) in enumerate(patterns):
+            matrix = matrices[case % len(matrices)]
+            controls = controls[::-1] if case % 2 else controls  # the kernel's order is free
+            expected = pair_oracle(base, n, matrix, target, controls)
+            got = apply_kernel(StateVector(n, base.copy()), matrix, target, controls).amps
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (
+                target, controls, matrix,
+            )
+
     @pytest.mark.parametrize(
         "kind, bound",
         [(GateKind.HADAMARD, 1.5), (GateKind.PAULI_X, 1.1), (GateKind.PAULI_Y, 1.5)],
@@ -419,6 +465,15 @@ class TestMeasureKernel:
         state = StateVector.basis(2, 0b01)  # qubit0=0, qubit1=1
         outcome, _ = measure_kernel(state, (1, 0), Xoshiro256StarStar(0))
         assert outcome == 0b10
+
+    def test_empty_selection_rejected_before_the_draw(self):
+        state = random_state(np.random.default_rng(3), 3)
+        before = state.amps.copy()
+        rng = Xoshiro256StarStar(8)
+        with pytest.raises(ValueError, match="^measurement selection is empty$"):
+            measure_kernel(state, (), rng)
+        assert np.array_equal(state.amps.view(np.uint64), before.view(np.uint64))
+        assert rng.uniform() == Xoshiro256StarStar(8).uniform()  # no draw taken
 
     def test_degenerate_state_detected(self):
         state = StateVector(1, np.zeros(2, dtype=complex))
