@@ -2,10 +2,10 @@
 
 Qubit ``i`` occupies bit ``n - 1 - i`` of the amplitude index, so qubit 0 is
 the leftmost symbol in |...⟩ labels and the most significant bit of
-measurement outcomes.  The kernels read the same amplitudes as a ``(2,)*n``
-array whose axis ``i`` is qubit ``i``.  That array is a reshape of the flat
-vector, so it is a view, and slicing an axis to ``0:1`` or ``1:2`` selects
-the half of the state in which that qubit reads 0 or 1, again as a view.
+measurement outcomes.  Gates address the flat vector (below); the two
+readouts share one view of it, ``_selection``, a ``(2,)*n`` reshape with
+the unselected qubits' axes first, in qubit order, and the selected ones
+last, in the listed order.  Writes through the view reach the state.
 
 - A gate touches the pairs of amplitudes that differ in the target bit and
   have every control bit set; the *sides* are the halves of those pairs in
@@ -30,10 +30,10 @@ the half of the state in which that qubit reads 0 or 1, again as a view.
   of other qubits around them, every control axis at ``1:2`` and the target
   axis moved to the front.  A dense gate copies one side and writes both in
   place through one more half-state buffer.
-- A measurement sums ``|amplitude|²`` over the unmeasured axes, samples an
-  outcome, and keeps only that outcome's slice.
-- A dump checks every group of amplitudes (one per pattern of the unselected
-  qubits) against one reference group in a single rank-1 residual.
+- A measurement sums ``|amplitude|²`` over the view's unselected axes,
+  samples an outcome, and keeps only that outcome's slice of the view.
+- A dump checks every row of the view (one group per pattern of the
+  unselected qubits) against one reference group in a single rank-1 residual.
 
 Temporary memory per call, for a state of S = 16·2^n bytes of which a gate
 with c controls touches t = S / 2^c:
@@ -133,10 +133,6 @@ class StateVector:
         amps[k] = 1.0
         return cls(n, amps)
 
-    def tensor(self) -> np.ndarray:
-        """The amplitudes as a ``(2,)*n`` view whose axis ``i`` is qubit ``i``."""
-        return self.amps.reshape((2,) * self.n)
-
     def extend(self, count: int) -> None:
         """Append ``count`` fresh qubits in |0⟩ (existing indices keep their qubits)."""
         amps = np.zeros(len(self.amps) << count, dtype=complex)
@@ -178,6 +174,13 @@ def _check_qubits(n: int, qubits: tuple[int, ...], what: str) -> None:
             raise IndexOutOfRange(f"qubit {q} out of range for {n}-qubit state")
     if len(set(qubits)) != len(qubits):
         raise IndexOverlap(f"{what} qubits {qubits} overlap")
+
+
+def _selection(state: StateVector, qubits: tuple[int, ...], what: str) -> np.ndarray:
+    """The readout view of the module docstring, for the ``what`` selection ``qubits``."""
+    _check_qubits(state.n, qubits, what)
+    rest = [q for q in range(state.n) if q not in qubits]
+    return state.amps.reshape((2,) * state.n).transpose(rest + list(qubits))
 
 
 @functools.lru_cache(maxsize=_GATHER_CACHE_SIZE)
@@ -309,31 +312,26 @@ def measure_kernel(
     by √p, so the state stays normalized.
     """
     qubits = tuple(qubits)
-    n = state.n
-    _check_qubits(n, qubits, "measurement")
-    tensor = state.tensor()
-    rest = tuple(q for q in range(n) if q not in qubits)
-    # the sum keeps the measured axes in ascending qubit order
-    ascending = sorted(qubits)
-    weights = (np.abs(tensor) ** 2).sum(axis=rest)
-    probs = weights.transpose([ascending.index(q) for q in qubits]).ravel()
+    k = len(qubits)
+    view = _selection(state, qubits, "measurement")
+    probs = (np.abs(view) ** 2).sum(axis=tuple(range(state.n - k))).ravel()
     total = float(probs.sum())
-    if total < 1e-12:
+    if not total >= 1e-12:  # a NaN total fails too
         raise DegenerateState("state has no probability mass left")
+    if math.isinf(total):
+        raise DegenerateState("state has infinite probability mass")
     cumulative = np.cumsum(probs)
     u = rng.uniform()
     outcome = int(np.searchsorted(cumulative, u, side="right"))
     if outcome >= len(probs):
-        outcome = int(np.max(np.nonzero(probs > 0)[0]))
+        outcome = int(np.flatnonzero(probs > 0)[-1])
     p = float(probs[outcome])
     if p < 1e-12:
         raise DegenerateState(f"sampled outcome {outcome} has probability {p}")
-    index = [slice(None)] * n
-    for j, q in enumerate(qubits):
-        index[q] = _READS[(outcome >> (len(qubits) - 1 - j)) & 1]
-    kept = tensor[tuple(index)] * (1.0 / math.sqrt(p))
+    index = (..., *(_READS[(outcome >> (k - 1 - j)) & 1] for j in range(k)))
+    kept = view[index] * (1.0 / math.sqrt(p))
     state.amps.fill(0.0)
-    tensor[tuple(index)] = kept
+    view[index] = kept
     return outcome, state
 
 
@@ -350,13 +348,14 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     phase in (-π/2, π/2].
     """
     qubits = tuple(qubits)
-    _check_qubits(state.n, qubits, "dump")
-    rest = [q for q in range(state.n) if q not in qubits]
     # a view of the state (never written) wherever the strides allow, as for
     # the trailing qubits in order; a copy otherwise
-    groups = state.tensor().transpose(rest + list(qubits)).reshape(-1, 1 << len(qubits))
+    groups = _selection(state, qubits, "dump").reshape(-1, 1 << len(qubits))
     norms = np.sqrt((np.abs(groups) ** 2).sum(axis=1))
-    dominant = int(np.argmax(norms >= norms.max() * (1 - 1e-9)))
+    largest = norms.max()
+    if not largest > 0:  # a NaN fails too
+        raise DegenerateState("state has no probability mass left")
+    dominant = int(np.argmax(norms >= largest * (1 - 1e-9)))
     reference = groups[dominant] / norms[dominant]
     # one C-contiguous buffer (so it has a float view) holds the projections
     # of every group onto the reference, then the residuals; numpy sums them,

@@ -42,6 +42,7 @@ from oracles import (
     ShiftingTuple,
     dense_controlled,
     dump_vector,
+    kron_all,
     max_dev_up_to_phase,
     measure_oracle,
     pair_oracle,
@@ -64,6 +65,11 @@ def random_gate(rng):
 def random_state(rng, n):
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def ordered_selections(n):
+    """Every permutation of every non-empty subset of ``n`` qubits."""
+    return [q for k in range(1, n + 1) for q in itertools.permutations(range(n), k)]
 
 
 class TestRng:
@@ -480,6 +486,20 @@ class TestMeasureKernel:
         with pytest.raises(DegenerateState):
             measure_kernel(state, (0,), Xoshiro256StarStar(0))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(math.nan, "no probability mass left"), (math.inf, "infinite probability mass")],
+    )
+    def test_non_finite_state_rejected_before_the_draw(self, bad, message):
+        state = random_state(np.random.default_rng(4), 3)
+        state.amps[5] = bad
+        before = state.amps.copy()
+        rng = Xoshiro256StarStar(8)
+        with pytest.raises(DegenerateState, match=f"^state has {message}$"):
+            measure_kernel(state, (2, 0), rng)
+        assert np.array_equal(state.amps.view(np.uint64), before.view(np.uint64))
+        assert rng.uniform() == Xoshiro256StarStar(8).uniform()  # no draw taken
+
     def test_draw_past_an_unnormalized_total_takes_the_last_possible_outcome(self):
         state = StateVector(2, np.array([0.5, 0.5, 0, 0], dtype=complex))  # total 0.5
         outcome, collapsed = measure_kernel(state, (0, 1), FixedDraw(0.9))
@@ -506,6 +526,21 @@ class TestMeasureKernel:
             outcome, collapsed = measure_kernel(state, qubits, Xoshiro256StarStar(seed))
             assert outcome == want_outcome
             assert np.abs(collapsed.amps - want_amps).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_ordered_selection_matches_per_index_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for qubits in ordered_selections(n):
+            state = random_state(rng, n)
+            state.amps[rng.random(1 << n) < 0.3] = 0  # some outcomes impossible
+            state.amps[rng.integers(1 << n)] = 1
+            state.amps /= np.linalg.norm(state.amps)
+            for u in (0.0, 0.5, 0.99):
+                want_outcome, want_amps = measure_oracle(state.amps, n, qubits, u)
+                fresh = StateVector(n, state.amps.copy())
+                outcome, collapsed = measure_kernel(fresh, qubits, FixedDraw(u))
+                assert outcome == want_outcome, (qubits, u)
+                assert np.abs(collapsed.amps - want_amps).max() < 1e-12, (qubits, u)
 
     def test_statistics_match_born_rule(self):
         # amplitudes fixed arbitrarily; 20000 seeded draws per state
@@ -534,6 +569,12 @@ class TestExtractDump:
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError, match="^dump selection is empty$"):
             extract_dump(StateVector.zero(1), ())
+
+    @pytest.mark.parametrize("amps", [[0, 0, 0, 0], [0.5, math.nan, 0.5, 0.5]])
+    def test_state_without_mass_is_degenerate(self, amps):
+        state = StateVector(2, np.array(amps, dtype=complex))
+        with pytest.raises(DegenerateState, match="^state has no probability mass left$"):
+            extract_dump(state, (0,))
 
     def test_single_qubit_of_bell_pair_is_entangled(self):
         state = StateVector(2, np.array([SQRT1_2, 0, 0, SQRT1_2], dtype=complex))
@@ -564,6 +605,26 @@ class TestExtractDump:
         state = StateVector.basis(2, 0b01)
         data = extract_dump(state, (1, 0))
         assert data.basis_states == ((0b10, (1 + 0j)),)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_ordered_selection_of_a_product_state(self, n):
+        # each factor is (±cos θ, e^{iφ} sin θ) with θ < π/4, so the group in
+        # which every unselected qubit reads 0 is the reference and its phase
+        # is ±1: the dump is the selected factors' kron up to the sign rule
+        rng = np.random.default_rng(n)
+        for qubits in ordered_selections(n):
+            theta = rng.uniform(0.2, 0.7, size=n)
+            factors = [
+                np.array([rng.choice((-1, 1)) * math.cos(t), np.exp(1j * phi) * math.sin(t)])
+                for t, phi in zip(theta, rng.uniform(-math.pi, math.pi, size=n))
+            ]
+            data = extract_dump(StateVector(n, kron_all(factors).ravel()), qubits)
+            want = kron_all(factors[q] for q in qubits).ravel()
+            want /= np.linalg.norm(want)
+            if want[0].real < 0:
+                want = -want
+            assert data.qubits == qubits
+            assert np.abs(dump_vector(data) - want).max() < 1e-12, qubits
 
     def test_one_ulp_in_a_group_norm_keeps_the_global_phase(self):
         # qubit 0 is (|0⟩ + i|1⟩)/√2, so the two groups of a qubit-1 dump
