@@ -20,8 +20,8 @@ last, in the listed order.  Writes through the view reach the state.
   ``(n, target, controls)`` lists the touched amplitudes, each one's
   partner ``p`` across the target bit, the two sides, and where in the flat
   matrix each amplitude's coefficients ``c0`` (its own) and ``c1`` (its
-  partner's) lie.  A diagonal gate is one product ``a * c0`` over the
-  touched amplitudes, or scales each side alone when a factor is exactly 1
+  partner's) lie.  A diagonal gate scales the touched amplitudes by ``c0``
+  in one product, or scales each side alone when a factor is exactly 1
   or a side is one amplitude; an X gathers the partners; and any other gate
   is ``c0 * a + c1 * a[p]``, one gather of both, one product and one sum.
   The result is written only where the gate acts.  Larger sides are one
@@ -39,7 +39,7 @@ Temporary memory per call, for a state of S = 16·2^n bytes of which a gate
 with c controls touches t = S / 2^c:
 
     rule                     by flat index           on a pair view
-    diagonal, one product    2·t, 3·t controlled     nothing
+    diagonal, one product    t, 2·t controlled       nothing
     diagonal, side by side   t / 2                   nothing
     X                        t                       S
     any other matrix         4·t                     S
@@ -150,7 +150,7 @@ class DumpData:
 
     ``basis_states`` is sorted ascending; the first listed qubit is the most
     significant bit of the basis integer.  The overall sign is normalized so
-    the first nonzero amplitude has phase in (-π/2, π/2].
+    the first listed amplitude has phase in (-π/2, π/2].
     """
 
     qubits: tuple[int, ...]
@@ -254,11 +254,9 @@ def apply_kernel(
         if diagonal and (m00 == 1 or m11 == 1 or len(controls) >= state.n - 1):
             for side, factor in ((side0, m00), (side1, m11)):
                 if factor != 1:
-                    gathered = amps[side]
-                    gathered *= factor
-                    amps[side] = gathered
+                    amps[side] *= factor
         elif diagonal:
-            amps[at] = np.multiply(amps[at], matrix.ravel()[k0])
+            amps[at] *= matrix.ravel()[k0]
         elif swap:
             amps[at] = amps[p]
         else:
@@ -344,8 +342,9 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     no pure state of its own and EntangledSelection is raised.  The reference
     is the first group whose norm is within a factor 1 - 1e-9 of the largest,
     so rounding in the norms cannot move the dump's global phase.  The common
-    vector is normalized and sign-flipped so its first nonzero amplitude has
-    phase in (-π/2, π/2].
+    vector is normalized, so some amplitude is above ``DUST``; only those are
+    listed, sign-flipped so the first has phase in (-π/2, π/2].  A largest
+    group norm of zero, NaN or infinity raises DegenerateState.
     """
     qubits = tuple(qubits)
     # a view of the state (never written) wherever the strides allow, as for
@@ -355,6 +354,8 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     largest = norms.max()
     if not largest > 0:  # a NaN fails too
         raise DegenerateState("state has no probability mass left")
+    if math.isinf(largest):
+        raise DegenerateState("state has infinite probability mass")
     dominant = int(np.argmax(norms >= largest * (1 - 1e-9)))
     reference = groups[dominant] / norms[dominant]
     # one C-contiguous buffer (so it has a float view) holds the projections
@@ -368,14 +369,12 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     residual_norms = np.sqrt(squares.sum(axis=1))
     if np.any((norms > 1e-9) & (residual_norms > 1e-9 * norms)):
         raise EntangledSelection(f"qubits {qubits} are entangled with the rest of the state")
-    vector = reference
-    significant = np.flatnonzero(np.abs(vector) > DUST)
-    if significant.size:
-        lead = vector[significant[0]]
-        if not -math.pi / 2 < math.atan2(lead.imag, lead.real) <= math.pi / 2:
-            vector = -vector
-    basis_states = tuple((int(i), complex(vector[i])) for i in significant)
-    return DumpData(qubits, basis_states)
+    significant = np.flatnonzero(np.abs(reference) > DUST)
+    vector = reference[significant]
+    lead = vector[0]
+    if not -math.pi / 2 < math.atan2(lead.imag, lead.real) <= math.pi / 2:
+        vector = -vector
+    return DumpData(qubits, tuple(zip(significant.tolist(), vector.tolist())))
 
 
 def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:

@@ -72,6 +72,15 @@ def ordered_selections(n):
     return [q for k in range(1, n + 1) for q in itertools.permutations(range(n), k)]
 
 
+def product_factors(rng, n):
+    """``n`` one-qubit factors (±cos θ, e^{iφ} sin θ) with θ in [0.2, 0.7)."""
+    theta = rng.uniform(0.2, 0.7, size=n)
+    return [
+        np.array([rng.choice((-1, 1)) * math.cos(t), np.exp(1j * phi) * math.sin(t)])
+        for t, phi in zip(theta, rng.uniform(-math.pi, math.pi, size=n))
+    ]
+
+
 class TestRng:
     def test_first_output_of_known_state(self):
         # for state (1, 2, 3, 4): rotl(2*5, 7) * 9 = 1280 * 9
@@ -421,6 +430,39 @@ class TestApplyKernel:
                 tracemalloc.stop()
             assert peak - live <= bound * state_bytes, (target, (peak - live) / state_bytes)
 
+    @pytest.mark.parametrize("controls", [(), (3,), (3, 8)], ids=["c0", "c1", "c2"])
+    @pytest.mark.parametrize(
+        "gate, uncontrolled, controlled",
+        [
+            (Gate(GateKind.RZ, 0.7), 1.15, 2.15),
+            (Gate(GateKind.PHASE, 0.7), 0.65, 0.65),
+            (Gate(GateKind.PAULI_X), 1.15, 1.15),
+            (Gate(GateKind.HADAMARD), 4.15, 4.15),
+        ],
+        ids=["one-product", "side-by-side", "x", "other"],
+    )
+    def test_flat_index_rule_allocates_at_most_its_table_row(
+        self, gate, uncontrolled, controlled, controls
+    ):
+        # the module docstring's table, in t = 16·2^n / 2^c bytes, at a size
+        # whose sides are under _IN_PLACE_MIN; each call first runs once
+        # outside the measurement, so its cache entry is already built
+        n = 10
+        touched = (16 << n) >> len(controls)
+        bound = controlled if controls else uncontrolled
+        matrix = gate_matrix(gate)
+        for target in (0, 5, n - 1):
+            state = random_state(np.random.default_rng(target), n)
+            apply_kernel(state, matrix, target, controls)
+            tracemalloc.start()
+            try:
+                live, _ = tracemalloc.get_traced_memory()
+                apply_kernel(state, matrix, target, controls)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - live <= bound * touched, (target, (peak - live) / touched)
+
     def test_norm_preserved(self):
         rng = np.random.default_rng(5)
         state = random_state(rng, 4)
@@ -576,6 +618,25 @@ class TestExtractDump:
         with pytest.raises(DegenerateState, match="^state has no probability mass left$"):
             extract_dump(state, (0,))
 
+    @pytest.mark.parametrize(
+        "amps, qubits",
+        [
+            ([0.5, math.inf, 0.5, 0.5], (1,)),
+            ([0.5, math.inf, 0.5, 0.5], (0, 1)),
+            ([0.5, 1e200, 0.5, 0.5], (1,)),  # finite, but its square overflows
+            ([0.5, 1e200, 0.5, 0.5], (0, 1)),
+        ],
+        ids=["inf-q1", "inf-q01", "1e200-q1", "1e200-q01"],
+    )
+    def test_state_with_infinite_mass_is_degenerate(self, amps, qubits):
+        state = StateVector(2, np.array(amps, dtype=complex))
+        before = state.amps.copy()
+        with np.errstate(over="ignore"), pytest.raises(
+            DegenerateState, match="^state has infinite probability mass$"
+        ):
+            extract_dump(state, qubits)
+        assert np.array_equal(state.amps.view(np.uint64), before.view(np.uint64))
+
     def test_single_qubit_of_bell_pair_is_entangled(self):
         state = StateVector(2, np.array([SQRT1_2, 0, 0, SQRT1_2], dtype=complex))
         with pytest.raises(EntangledSelection):
@@ -613,11 +674,7 @@ class TestExtractDump:
         # is ±1: the dump is the selected factors' kron up to the sign rule
         rng = np.random.default_rng(n)
         for qubits in ordered_selections(n):
-            theta = rng.uniform(0.2, 0.7, size=n)
-            factors = [
-                np.array([rng.choice((-1, 1)) * math.cos(t), np.exp(1j * phi) * math.sin(t)])
-                for t, phi in zip(theta, rng.uniform(-math.pi, math.pi, size=n))
-            ]
+            factors = product_factors(rng, n)
             data = extract_dump(StateVector(n, kron_all(factors).ravel()), qubits)
             want = kron_all(factors[q] for q in qubits).ravel()
             want /= np.linalg.norm(want)
@@ -625,6 +682,23 @@ class TestExtractDump:
                 want = -want
             assert data.qubits == qubits
             assert np.abs(dump_vector(data) - want).max() < 1e-12, qubits
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_dump_of_every_qubit_of_a_product_state(self, n, reverse):
+        # every amplitude of the kron is at least sin(0.2)^n, above DUST, so
+        # the dump lists all 2^n basis states
+        factors = product_factors(np.random.default_rng(n + reverse), n)
+        qubits = tuple(range(n))[::-1] if reverse else tuple(range(n))
+        data = extract_dump(StateVector(n, kron_all(factors).ravel()), qubits)
+        want = kron_all(factors[q] for q in qubits).ravel()
+        want /= np.linalg.norm(want)
+        if want[0].real < 0:
+            want = -want
+        assert data.qubits == qubits
+        assert [b for b, _ in data.basis_states] == list(range(1 << n))
+        assert all(type(b) is int and type(amp) is complex for b, amp in data.basis_states)
+        assert np.abs(dump_vector(data) - want).max() < 1e-12
 
     def test_one_ulp_in_a_group_norm_keeps_the_global_phase(self):
         # qubit 0 is (|0⟩ + i|1⟩)/√2, so the two groups of a qubit-1 dump
