@@ -27,7 +27,7 @@ last, in the listed order.  Writes through the view reach the state.
   The result is written only where the gate acts.  Larger sides are one
   pair view, built on every call without a cache: the flat vector reshaped
   to an axis of 2 for each of the gate's qubits and one axis for each run
-  of other qubits around them, every control axis at ``1:2`` and the target
+  of other qubits around them, every control axis read at 1 and the target
   axis moved to the front.  A dense gate copies one side and writes both in
   place through one more half-state buffer.
 - A measurement sums ``|amplitude|²`` over the view's unselected axes,
@@ -83,10 +83,6 @@ from .rng import Xoshiro256StarStar
 
 # Amplitudes below this magnitude are treated as zero when snapshotting.
 DUST = 1e-12
-
-# The slice of a qubit's axis on which it reads 0 or 1; a slice, not an
-# integer, so indexing every axis still yields a view.
-_READS = (slice(0, 1), slice(1, 2))
 
 # Gates whose sides hold at least this many amplitudes (32 KiB) work on a
 # strided view of the state, and a dense one updates it in place, in six
@@ -268,28 +264,28 @@ def apply_kernel(
                 np.add(pair[0], pair[1], out=amps)
         return state
     # An axis of 2 per gate qubit and one per run of other qubits around them
-    # (of 1 where a run is empty), controls read at 1, and the target axis
-    # moved to the front with the rest in order, so a side copies in memory
-    # order: 2c + 3 axes for c controls.  Sides of _IN_PLACE_MIN or more bound
-    # c by n - 12, so MAX_QUBITS = 24 gives at most 27 axes, under numpy 1.x's
-    # limit of 32.
+    # (of 1 where a run is empty): 2c + 3 axes for c controls, and c + 3 once
+    # each control is read at the integer 1.  The target axis moves to the
+    # front with the rest in order, so a side copies in memory order.  Sides
+    # of _IN_PLACE_MIN or more bound c by n - 12, so MAX_QUBITS = 24 gives at
+    # most 27 axes in the reshape, under numpy 1.x's limit of 32.
     _check_qubits(state.n, (target, *controls), "gate")
     shape, index, start = [], [], 0
     for q in (qubits := sorted((target, *controls))):
         shape += (1 << (q - start), 2)
-        index += (slice(None), slice(None) if q == target else _READS[1])
+        index += (slice(None), slice(None) if q == target else 1)
         start = q + 1
-    front = 1 + 2 * qubits.index(target)  # the target's axis
+    front = 1 + qubits.index(target)  # a run axis before each qubit up to it
     view = amps.reshape(*shape, 1 << (state.n - start))[tuple(index)]
     pair = view.transpose(front, *range(front), *range(front + 1, view.ndim))
     if diagonal:
-        for side, factor in ((pair[:1], m00), (pair[1:], m11)):
+        for side, factor in ((pair[0], m00), (pair[1], m11)):
             if factor != 1:
                 np.multiply(side, factor, out=side)
     elif swap:
         pair[...] = pair[::-1]
     else:
-        v0, v1 = pair[:1], pair[1:]
+        v0, v1 = pair[0], pair[1]
         a0 = v0.copy()
         a1 = m01 * v1
         np.multiply(m00, a0, out=v0)
@@ -326,7 +322,7 @@ def measure_kernel(
     p = float(probs[outcome])
     if p < 1e-12:
         raise DegenerateState(f"sampled outcome {outcome} has probability {p}")
-    index = (..., *(_READS[(outcome >> (k - 1 - j)) & 1] for j in range(k)))
+    index = (..., *((outcome >> (k - 1 - j)) & 1 for j in range(k)))
     kept = view[index] * (1.0 / math.sqrt(p))
     state.amps.fill(0.0)
     view[index] = kept

@@ -411,6 +411,36 @@ class TestApplyKernel:
                 target, controls, matrix,
             )
 
+    def test_pair_view_layouts_with_three_controls_match_pair_oracle_bit_for_bit(self):
+        # As the test above, one control further: at n = 15 the sides of a gate
+        # with three controls hold exactly _IN_PLACE_MIN amplitudes, the
+        # smallest pair view.  Every target, with 8 seeded sets of controls
+        # each, takes the same four rules one after another.
+        n = 15
+        assert 1 << (n - 1 - 3) == qvm.simulator._IN_PLACE_MIN
+        rng = np.random.default_rng(n + 3)
+        parts = rng.normal(size=2 << n)
+        parts[rng.random(2 << n) < 0.2] = 0.0
+        parts[rng.random(2 << n) < 0.1] = -0.0
+        base = parts.view(complex)
+        a, b, c = (complex(np.exp(1j * angle)) for angle in (0.3, -1.1, 2.0))
+        matrices = [
+            np.diag([1, a]),  # diagonal with a factor of exactly 1
+            np.diag([a, b]),
+            gate_matrix(Gate(GateKind.PAULI_X)),
+            np.array([[0.6 * a, -0.8 * b], [0.8 * c, 0.6 * c * b / a]]),  # dense
+        ]
+        for target in range(n):
+            others = [q for q in range(n) if q != target]
+            for _ in range(8):
+                controls = tuple(int(q) for q in rng.choice(others, size=3, replace=False))
+                for matrix in matrices:
+                    expected = pair_oracle(base, n, matrix, target, controls)
+                    got = apply_kernel(StateVector(n, base.copy()), matrix, target, controls).amps
+                    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (
+                        target, controls, matrix,
+                    )
+
     @pytest.mark.parametrize(
         "kind, bound",
         [(GateKind.HADAMARD, 1.5), (GateKind.PAULI_X, 1.1), (GateKind.PAULI_Y, 1.5)],
@@ -577,6 +607,23 @@ class TestMeasureKernel:
             state.amps[rng.random(1 << n) < 0.3] = 0  # some outcomes impossible
             state.amps[rng.integers(1 << n)] = 1
             state.amps /= np.linalg.norm(state.amps)
+            for u in (0.0, 0.5, 0.99):
+                want_outcome, want_amps = measure_oracle(state.amps, n, qubits, u)
+                fresh = StateVector(n, state.amps.copy())
+                outcome, collapsed = measure_kernel(fresh, qubits, FixedDraw(u))
+                assert outcome == want_outcome, (qubits, u)
+                assert np.abs(collapsed.amps - want_amps).max() < 1e-12, (qubits, u)
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_measuring_every_qubit_matches_per_index_oracle(self, n):
+        # a full selection fixes every axis of the view, so the kept
+        # amplitude is read and scaled as one scalar
+        rng = np.random.default_rng(100 + n)
+        state = random_state(rng, n)
+        state.amps[rng.random(1 << n) < 0.3] = 0  # some outcomes impossible
+        state.amps[rng.integers(1 << n)] = 1
+        state.amps /= np.linalg.norm(state.amps)
+        for qubits in (tuple(range(n)), tuple(reversed(range(n)))):
             for u in (0.0, 0.5, 0.99):
                 want_outcome, want_amps = measure_oracle(state.amps, n, qubits, u)
                 fresh = StateVector(n, state.amps.copy())
