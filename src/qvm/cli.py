@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections import Counter
 
@@ -165,7 +166,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that left early fails this flush, not the one at exit
+        return status
+    except BrokenPipeError:  # stdout's reader left early: the run did not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return 0
     except EntangledSelection as exc:
         # an EngineFailure, but a failed state inspection is a usage error
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,8 @@ Scope rules enforced while recording:
   conditioned-block body, like a ``with`` body, must close exactly the
   scopes it opens;
 * allocation, measurement, and dumps are rejected inside any open control or
-  adjoint scope and inside conditioned-block bodies; an around's inner
-  section may measure and allocate;
+  adjoint scope and inside conditioned-block bodies; an around's body may
+  measure and allocate;
 * control scopes accumulate: each recorded gate picks up the controls of all
   open control scopes, outermost first;
 * adjoint scopes buffer gates and, on close, append the reversed sequence
@@ -727,16 +727,15 @@ class _ScopeBlock:
     is entered once; entering it again raises ``ScopeViolation``.
     """
 
-    def __init__(self, process: Process, begin: Callable[[], None], end: Callable[[], None], value=None):
-        self.process, self.begin, self.end, self.value = process, begin, end, value
+    def __init__(self, process: Process, begin: Callable[[], None], end: Callable[[], None]):
+        self.process, self.begin, self.end = process, begin, end
         self.depth: int | None = None
 
-    def __enter__(self):
+    def __enter__(self) -> None:
         if self.depth is not None:
             raise ScopeViolation("a scope block can be entered only once")
         self.depth = len(self.process._scopes)
         self._closing_on_failure(self.begin)
-        return self.value
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None and len(self.process._scopes) == self.depth + 1:
@@ -760,7 +759,7 @@ def ctrl(*qubits: QubitHandle):
     exception propagates.
     """
     process = _process_of(qubits, "ctrl")
-    return _ScopeBlock(process, lambda: process.ctrl_begin(qubits), process.ctrl_end, qubits)
+    return _ScopeBlock(process, lambda: process.ctrl_begin(qubits), process.ctrl_end)
 
 
 def adj(process: Process):
@@ -772,21 +771,15 @@ def adj(process: Process):
     return _ScopeBlock(process, process.adj_begin, process.adj_end)
 
 
-def around(process: Process, outer: Callable[[], None], inner: Callable[[], None] | None = None):
-    """Emit ``outer``, an inner section, then the adjoint of ``outer``.
+def around(process: Process, outer: Callable[[], None]):
+    """Around scope as a ``with`` block: ``outer``, the body, then ``outer``'s adjoint.
 
-    ``outer`` runs once; the adjoint is the reversed inverses of the gates it
-    recorded.  With ``inner`` given this is a one-shot call; without it, it
-    returns a ``with`` block whose body forms the inner section.  If ``outer``
-    or the inner section raises, the scope closes, the adjoint of ``outer`` is
-    not emitted, the gates already emitted stay, and the exception propagates.
+    ``outer`` runs once on entry; the adjoint is the reversed inverses of the
+    gates it recorded.  If ``outer`` or the body raises, the scope closes, the
+    adjoint of ``outer`` is not emitted, the gates already emitted stay, and
+    the exception propagates.
     """
-    block = _ScopeBlock(process, lambda: process.around_begin(outer), process.around_end)
-    if inner is not None:
-        with block:
-            inner()
-        return None
-    return block
+    return _ScopeBlock(process, lambda: process.around_begin(outer), process.around_end)
 
 
 def measure(*qubits: QubitHandle) -> FutureValue:

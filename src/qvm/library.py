@@ -118,11 +118,8 @@ def grover_diffusor(qubits: Sequence[QubitHandle]) -> Sequence[QubitHandle]:
         for q in qs:
             x(h(q))
 
-    def core():
-        with ctrl(*qs[1:]):
-            z(qs[0])
-
-    around(process, shell, core)
+    with around(process, shell), ctrl(*qs[1:]):
+        z(qs[0])
     return qubits
 
 

@@ -48,10 +48,20 @@ By flat index t is under 64 KiB: the gathered amplitudes, coefficients,
 products and sums are each t or 2·t, and each cached entry keeps 2.5·t bytes
 of indices.  On a pair view, an X copies the reversed pair, which overlaps
 its destination, and a dense gate one side and one product, each plus
-numpy's iteration buffers of 8192 amplitudes per strided operand.  A
-measurement takes at most S (the squared magnitudes, then the kept slice),
-and a dump at most 2·S (a copy of the groups where their layout is not a
-view of the state, and one buffer for projections and residuals).
+numpy's iteration buffers of 8192 amplitudes per strided operand.
+
+    readout of k qubits    temporaries
+    measurement            S / 2 + S / 2^(n-k+1), at most S
+    dump                   2·S + 4·S / 2^(n-k), plus S to copy the groups
+
+A measurement holds the squared magnitudes, then the kept slice.  A dump
+holds one buffer of S for projections and residuals, up to S of per-group
+sums (at k = 1), and up to four vectors of the selection at once (the
+reference with its conjugate, then with the indices and values it lists
+and their negation).  Its groups are a view of the state, never written,
+when the qubits are one run in ascending order at either end of the
+register, and a copy otherwise.  The tuples it returns take about 8·S more
+when it lists every amplitude.
 
 ``execute`` runs the flat ops that ``QuantumCode.validate`` returns, as they
 are: a conditioned block is a forward jump, with no tree walk, recursion or
@@ -343,8 +353,6 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     group norm of zero, NaN or infinity raises DegenerateState.
     """
     qubits = tuple(qubits)
-    # a view of the state (never written) wherever the strides allow, as for
-    # the trailing qubits in order; a copy otherwise
     groups = _selection(state, qubits, "dump").reshape(-1, 1 << len(qubits))
     norms = np.sqrt((np.abs(groups) ** 2).sum(axis=1))
     largest = norms.max()

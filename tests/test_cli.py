@@ -6,8 +6,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -245,6 +249,29 @@ class TestShotStream:
         status, out, err = run_cli(capsys, *argv)
         assert (status, out, len(alive)) == (1, "", 1)
         assert err == "error: format covers 1 qubits, snapshot has 2\n"
+
+    @pytest.mark.parametrize("shots, lines_read", [(2000, 1), (1, 0)])
+    def test_reader_that_leaves_early_is_not_a_failure(self, tmp_path, capsys, shots, lines_read):
+        # 2000 shots print about 300 KB, more than a pipe holds, so a write
+        # after the close fails; one shot's line waits in stdout's buffer
+        # (PYTHONUNBUFFERED is dropped) and the close fails its flush
+        path = tmp_path / "teleport.json"
+        assert run_cli(capsys, "emit-ir", "teleport", "--out", str(path))[0] == 0
+        src = str(Path(qvm.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "qvm.cli", "run-ir", str(path), "--shots", str(shots),
+             "--output", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, "PYTHONPATH": src},
+        )
+        for _ in range(lines_read):
+            assert child.stdout.readline().startswith(b"{")
+        child.stdout.close()
+        try:
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+        assert (child.returncode, err) == (0, b"")
 
     @pytest.mark.parametrize("output", sorted(STREAM_DIGESTS))
     @pytest.mark.parametrize("name", sorted(EXAMPLES))

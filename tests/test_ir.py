@@ -317,10 +317,11 @@ class TestAdjScopes:
 
 
 class TestAround:
-    def test_one_shot_emits_outer_inner_adj_outer(self):
+    def test_emits_outer_inner_adj_outer(self):
         p = new_process()
         a, b = p.alloc(2)
-        around(p, lambda: qvm.bell(a, b), lambda: qvm.x(a))
+        with around(p, lambda: qvm.bell(a, b)):
+            qvm.x(a)
         assert p.code.instructions[1:] == (
             GateApp(GATE_H, 0),
             GateApp(GATE_X, 1, (0,)),
@@ -329,22 +330,25 @@ class TestAround:
             GateApp(GATE_H, 0),
         )
 
-    def test_block_form_matches_one_shot(self):
-        one_shot = new_process()
-        a, b = one_shot.alloc(2)
-        around(one_shot, lambda: qvm.bell(a, b), lambda: qvm.z(a))
+    def test_block_matches_explicit_begin_and_end(self):
+        explicit = new_process()
+        a, b = explicit.alloc(2)
+        explicit.around_begin(lambda: qvm.bell(a, b))
+        qvm.z(a)
+        explicit.around_end()
 
         block = new_process()
         c, d = block.alloc(2)
         with around(block, lambda: qvm.bell(c, d)):
             qvm.z(c)
 
-        assert one_shot.code.instructions == block.code.instructions
+        assert explicit.code.instructions == block.code.instructions
 
     def test_empty_inner_is_outer_then_its_adjoint(self):
         p = new_process()
         a, b = p.alloc(2)
-        around(p, lambda: qvm.bell(a, b), lambda: None)
+        with around(p, lambda: qvm.bell(a, b)):
+            pass
         result = qvm.execute(
             qvm.QuantumCode(
                 2,
@@ -368,7 +372,8 @@ class TestAround:
             calls.append(None)
             qvm.h(a)
 
-        around(p, outer, lambda: qvm.x(a))
+        with around(p, outer):
+            qvm.x(a)
         assert len(calls) == 1
         with around(p, outer):
             qvm.z(a)

@@ -758,6 +758,44 @@ class TestExtractDump:
         got = extract_dump(StateVector(2, nudged), (1,))
         assert got == want
 
+    @pytest.mark.parametrize(
+        "qubits, copied",
+        [
+            ((0,), False),
+            ((7,), True),
+            ((0, 1, 2), False),
+            ((2, 1, 0), True),
+            (tuple(range(16)), False),
+            (tuple(reversed(range(16))), True),
+        ],
+        ids=["k1", "k1-middle", "k3", "k3-reversed", "kn", "kn-reversed"],
+    )
+    def test_readouts_allocate_at_most_the_docstring_bounds(self, qubits, copied):
+        # the module docstring's readout bounds, in S = 16·2^n bytes, at
+        # n = 16; what a readout keeps (the dump's tuples) is not counted,
+        # and every amplitude of the product state is above DUST, so a dump
+        # of every qubit lists all of them
+        n, k = 16, len(qubits)
+        state_bytes = 16 << n
+        amps = kron_all(product_factors(np.random.default_rng(k), n)).ravel()
+        readouts = {
+            "measure": (
+                lambda state: measure_kernel(state, qubits, Xoshiro256StarStar(k)),
+                0.5 + 2.0 ** (k - n - 1),
+            ),
+            "dump": (lambda state: extract_dump(state, qubits), 2 + 4 * 2.0 ** (k - n) + copied),
+        }
+        for name, (readout, bound) in readouts.items():
+            state = StateVector(n, amps.copy())
+            tracemalloc.start()
+            try:
+                kept = readout(state)  # still alive, so ``after`` counts it
+                after, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            used = (peak - after) / state_bytes
+            assert used <= bound + 0.15, (name, used)
+
 
 class TestExecute:
     def test_kernels_are_looked_up_on_every_run(self, monkeypatch):
