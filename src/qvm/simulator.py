@@ -28,40 +28,51 @@ last, in the listed order.  Writes through the view reach the state.
   pair view, built on every call without a cache: the flat vector reshaped
   to an axis of 2 for each of the gate's qubits and one axis for each run
   of other qubits around them, every control axis read at 1 and the target
-  axis moved to the front.  A dense gate copies one side and writes both in
-  place through one more half-state buffer.
+  axis moved to the front.  An X or a dense gate runs on it in blocks whose
+  sides hold ``_BLOCK`` amplitudes, cut from its outermost run axes in, and
+  on each block as it would on the whole view: an X copies the reversed
+  pair, and a dense gate copies one side and writes both in place through
+  one more buffer of a side.  A view whose sides fit in one block is that
+  block.
 - A measurement sums ``|amplitude|²`` over the view's unselected axes,
-  samples an outcome, and keeps only that outcome's slice of the view.
+  samples an outcome, and keeps only that outcome's slice of the view.  Of
+  every qubit of a state larger than a block, it squares the magnitudes in
+  one buffer.  It takes the cumulative sum for the draw a block at a time.
 - A dump checks every row of the view (one group per pattern of the
-  unselected qubits) against one reference group in a single rank-1 residual.
+  unselected qubits) against one reference group by rank-1 residuals, in
+  blocks of consecutive rows that hold at most ``_BLOCK`` amplitudes, or one
+  row where a row is larger.
 
-Temporary memory per call, for a state of S = 16·2^n bytes of which a gate
-with c controls touches t = S / 2^c:
+No bit depends on the blocks: each amplitude, sum and product sees the same
+operations on the same operand layout as it would on the whole.  Temporary
+memory per call, for a state of S = 16·2^n bytes of which a gate with c
+controls touches t = S / 2^c, and blocks of B = 16·_BLOCK bytes (128 KiB):
 
     rule                     by flat index           on a pair view
     diagonal, one product    t, 2·t controlled       nothing
     diagonal, side by side   t / 2                   nothing
-    X                        t                       S
-    any other matrix         4·t                     S
+    X                        t                       2·B
+    any other matrix         4·t                     4·B
 
 By flat index t is under 64 KiB: the gathered amplitudes, coefficients,
 products and sums are each t or 2·t, and each cached entry keeps 2.5·t bytes
-of indices.  On a pair view, an X copies the reversed pair, which overlaps
-its destination, and a dense gate one side and one product, each plus
-numpy's iteration buffers of 8192 amplitudes per strided operand.
+of indices.  On a pair view, an X copies a block's reversed pair, which
+overlaps its destination, and a dense gate a block's side and one product,
+plus numpy's iteration buffers of up to a side per strided operand.
 
     readout of k qubits    temporaries
-    measurement            S / 2 + S / 2^(n-k+1), at most S
-    dump                   2·S + 4·S / 2^(n-k), plus S to copy the groups
+    measurement            S / 2 + S / 2^(n-k+1) for k < n, S / 2 + 2·B for k = n
+    dump                   5·S / 2^(n-k) + S / 2^(k-1) + 4·B
 
 A measurement holds the squared magnitudes, then the kept slice.  A dump
-holds one buffer of S for projections and residuals, up to S of per-group
-sums (at k = 1), and up to four vectors of the selection at once (the
-reference with its conjugate, then with the indices and values it lists
-and their negation).  Its groups are a view of the state, never written,
-when the qubits are one run in ascending order at either end of the
-register, and a copy otherwise.  The tuples it returns take about 8·S more
-when it lists every amplitude.
+holds four arrays of one float per group (norms, residual norms and their
+comparisons), one block of groups with its squares and residuals, and up
+to five vectors of the selection at once (the reference with its
+conjugate, then with the indices and values it lists and their negation).
+Its groups are a view of the state, never written, when the qubits are one
+run in ascending order at either end of the register; otherwise each block
+is copied.  The tuples it returns take about 8·S more when it lists every
+amplitude.
 
 ``execute`` runs the flat ops that ``QuantumCode.validate`` returns, as they
 are: a conditioned block is a forward jump, with no tree walk, recursion or
@@ -75,6 +86,7 @@ against the cumulative outcome distribution in ascending outcome order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -96,13 +108,24 @@ DUST = 1e-12
 
 # Gates whose sides hold at least this many amplitudes (32 KiB) work on a
 # strided view of the state, and a dense one updates it in place, in six
-# ufunc calls through one half-state buffer; smaller ones work by flat index.
+# ufunc calls per block through one buffer of a side; smaller ones work by
+# flat index.
 # Per call on a 2-vCPU x86-64 host, averaged over targets, with this bound
 # forced each way in one process, the flat-index form took 0.38-0.91x the
 # view's time on sides of 2^8-2^9 amplitudes for H, X, RY, RZ and phase with
 # 0-2 controls, and 0.54-1.06x on 2^10.  On 2^11 it took 0.65-0.94x without
 # controls but up to 1.32x with them, and on 2^12 up to 3.2x.
 _IN_PLACE_MIN = 1 << 11
+
+# Wide-state paths run in blocks of at most this many amplitudes (128 KiB)
+# per side: X and dense gates on pair views whose sides are larger, the
+# cumulative sum of a measurement's distribution, and a dump's groups.  So
+# their temporaries stay a few blocks, not a share of the state.  Per call
+# on a 2-vCPU x86-64 host, averaged over targets, in 20 alternating pairs of
+# processes against whole sides, H, X and RY with 0 and 1 control took
+# 0.44-0.80x the time at n = 17-20, 0.50-1.00x at n = 16 and 0.57-1.07x at
+# n = 15, where an X's two blocks cost more calls than they save (44 to 47 us).
+_BLOCK = 1 << 13
 
 # Entries kept by the cache of flat indices, the kernel's only cache, keyed by
 # (n, target, controls).  Its largest entry, for a gate without controls at
@@ -292,18 +315,38 @@ def apply_kernel(
         for side, factor in ((pair[0], m00), (pair[1], m11)):
             if factor != 1:
                 np.multiply(side, factor, out=side)
-    elif swap:
-        pair[...] = pair[::-1]
-    else:
-        v0, v1 = pair[0], pair[1]
-        a0 = v0.copy()
-        a1 = m01 * v1
-        np.multiply(m00, a0, out=v0)
-        v0 += a1
-        np.multiply(m11, v1, out=a1)
-        np.multiply(m10, a0, out=v1)
-        v1 += a1
+        return state
+    for block in (pair,) if len(amps) >> len(controls) <= 2 * _BLOCK else _blocks(pair):
+        if swap:
+            block[...] = block[::-1]
+        else:
+            v0, v1 = block[0], block[1]
+            a0 = v0.copy()
+            a1 = m01 * v1
+            np.multiply(m00, a0, out=v0)
+            v0 += a1
+            np.multiply(m11, v1, out=a1)
+            np.multiply(m10, a0, out=v1)
+            v1 += a1
     return state
+
+
+def _blocks(pair: np.ndarray):
+    """Disjoint pieces of a pair view whose sides hold ``_BLOCK`` amplitudes each.
+
+    A side's run axes, all powers of 2, are split from the outermost in:
+    the leading ones are fixed and one more is cut into chunks, so the inner
+    axes, and with them the layout of every operand, stay as they are.
+    """
+    runs = pair.shape[1:]
+    axis, inner = len(runs) - 1, 1
+    while inner * runs[axis] <= _BLOCK:
+        inner *= runs[axis]
+        axis -= 1
+    step = _BLOCK // inner
+    for outer in np.ndindex(runs[:axis]) if axis else [()]:  # ndindex is slow to start
+        for start in range(0, runs[axis], step):
+            yield pair[(slice(None), *outer, slice(start, start + step))]
 
 
 def measure_kernel(
@@ -318,15 +361,21 @@ def measure_kernel(
     qubits = tuple(qubits)
     k = len(qubits)
     view = _selection(state, qubits, "measurement")
-    probs = (np.abs(view) ** 2).sum(axis=tuple(range(state.n - k))).ravel()
+    if k < state.n or len(state.amps) <= _BLOCK:
+        probs = (np.abs(view) ** 2).sum(axis=tuple(range(state.n - k))).ravel()
+    else:  # the same squares in one buffer, which a sum over no axis would copy
+        probs = np.abs(view, out=np.empty(view.shape))
+        probs = np.square(probs, out=probs).ravel()
     total = float(probs.sum())
     if not total >= 1e-12:  # a NaN total fails too
         raise DegenerateState("state has no probability mass left")
     if math.isinf(total):
         raise DegenerateState("state has infinite probability mass")
-    cumulative = np.cumsum(probs)
     u = rng.uniform()
-    outcome = int(np.searchsorted(cumulative, u, side="right"))
+    if len(probs) <= _BLOCK:
+        outcome = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    else:
+        outcome = _search_in_blocks(probs, u)
     if outcome >= len(probs):
         outcome = int(np.flatnonzero(probs > 0)[-1])
     p = float(probs[outcome])
@@ -337,6 +386,23 @@ def measure_kernel(
     state.amps.fill(0.0)
     view[index] = kept
     return outcome, state
+
+
+def _search_in_blocks(probs: np.ndarray, u: float) -> int:
+    """``np.searchsorted(np.cumsum(probs), u, side="right")``, ``_BLOCK`` outcomes at a time.
+
+    Each block's cumulative sum starts from the sum carried from the blocks
+    before it, so it makes the same additions in the same order as one
+    cumulative sum of ``probs``, and the search stops at the block holding ``u``.
+    """
+    carried = 0.0
+    for start in range(0, len(probs), _BLOCK):
+        cumulative = np.cumsum(np.concatenate(([carried], probs[start : start + _BLOCK])))
+        found = int(np.searchsorted(cumulative[1:], u, side="right"))
+        if found < len(cumulative) - 1:
+            return start + found
+        carried = cumulative[-1]
+    return len(probs)
 
 
 def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
@@ -353,24 +419,31 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     group norm of zero, NaN or infinity raises DegenerateState.
     """
     qubits = tuple(qubits)
-    groups = _selection(state, qubits, "dump").reshape(-1, 1 << len(qubits))
-    norms = np.sqrt((np.abs(groups) ** 2).sum(axis=1))
+    k = len(qubits)
+    view = _selection(state, qubits, "dump")
+    one_block = len(state.amps) <= _BLOCK
+    if one_block:
+        groups = view.reshape(-1, 1 << k)
+        norms = _group_norms(groups)
+    else:
+        in_place = qubits in (tuple(range(k)), tuple(range(state.n - k, state.n)))
+        norms = np.concatenate([_group_norms(g) for g in _group_blocks(view, k, in_place)])
     largest = norms.max()
     if not largest > 0:  # a NaN fails too
         raise DegenerateState("state has no probability mass left")
     if math.isinf(largest):
         raise DegenerateState("state has infinite probability mass")
     dominant = int(np.argmax(norms >= largest * (1 - 1e-9)))
-    reference = groups[dominant] / norms[dominant]
-    # one C-contiguous buffer (so it has a float view) holds the projections
-    # of every group onto the reference, then the residuals; numpy sums them,
-    # not BLAS matmul, whose first call maps work buffers of its own
-    residual = np.multiply(groups, reference.conj(), out=np.empty(groups.shape, dtype=complex))
-    np.multiply.outer(residual.sum(axis=1), reference, out=residual)
-    np.subtract(groups, residual, out=residual)
-    squares = residual.view(float)
-    np.square(squares, out=squares)
-    residual_norms = np.sqrt(squares.sum(axis=1))
+    if one_block:
+        reference = groups[dominant] / norms[dominant]
+        residual_norms = _residual_norms(groups, reference, reference.conj())
+    else:
+        row = view[np.unravel_index(dominant, view.shape[: state.n - k])]
+        reference = _as_groups(row, k, in_place)[0] / norms[dominant]
+        conjugate = reference.conj()
+        residual_norms = np.concatenate(
+            [_residual_norms(g, reference, conjugate) for g in _group_blocks(view, k, in_place)]
+        )
     if np.any((norms > 1e-9) & (residual_norms > 1e-9 * norms)):
         raise EntangledSelection(f"qubits {qubits} are entangled with the rest of the state")
     significant = np.flatnonzero(np.abs(reference) > DUST)
@@ -379,6 +452,40 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     if not -math.pi / 2 < math.atan2(lead.imag, lead.real) <= math.pi / 2:
         vector = -vector
     return DumpData(qubits, tuple(zip(significant.tolist(), vector.tolist())))
+
+
+def _group_norms(groups: np.ndarray) -> np.ndarray:
+    return np.sqrt((np.abs(groups) ** 2).sum(axis=1))
+
+
+def _as_groups(rows: np.ndarray, k: int, in_place: bool) -> np.ndarray:
+    """``rows``, a slice of a dump's view, as groups of ``2^k`` laid out as the whole view's are."""
+    return (rows if in_place else np.ascontiguousarray(rows)).reshape(-1, 1 << k)
+
+
+def _group_blocks(view: np.ndarray, k: int, in_place: bool):
+    """A dump's groups, ``view.reshape(-1, 2^k)``, in blocks of consecutive rows.
+
+    A block fixes the view's leading unselected axes, so it holds at most
+    ``_BLOCK`` amplitudes, or one group where a group is larger.  Where the
+    groups are no view of the state, each block is copied on its own.
+    """
+    fixed = max(view.ndim - max(k, _BLOCK.bit_length() - 1), 0)
+    for index in itertools.product((0, 1), repeat=fixed):
+        yield _as_groups(view[index], k, in_place)
+
+
+def _residual_norms(groups: np.ndarray, reference: np.ndarray, conjugate: np.ndarray) -> np.ndarray:
+    """Norm of each group less its projection onto ``reference`` (conjugated: ``conjugate``)."""
+    # one C-contiguous buffer (so it has a float view) holds the projections
+    # of the groups onto the reference, then the residuals; numpy sums them,
+    # not BLAS matmul, whose first call maps work buffers of its own
+    residual = np.multiply(groups, conjugate, out=np.empty(groups.shape, dtype=complex))
+    np.multiply.outer(residual.sum(axis=1), reference, out=residual)
+    np.subtract(groups, residual, out=residual)
+    squares = residual.view(float)
+    np.square(squares, out=squares)
+    return np.sqrt(squares.sum(axis=1))
 
 
 def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:

@@ -441,6 +441,71 @@ class TestApplyKernel:
                         target, controls, matrix,
                     )
 
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_blocked_pair_views_match_pair_oracle_bit_for_bit(self, n, monkeypatch):
+        # X and dense gates run block by block on sides of more than _BLOCK
+        # amplitudes: at n = 16 a gate with two controls still fits one block,
+        # and every other gate here takes 2-8.  Every target, with 0, 1 and 2
+        # seeded controls, takes the four rules above in turn, and the bits must
+        # not depend on where the blocks are cut, so each case also runs with
+        # blocks a quarter and twice the size.
+        sim = qvm.simulator
+        assert 1 << (16 - 1 - 2) == sim._BLOCK
+        blocks = (sim._BLOCK, sim._BLOCK >> 2, sim._BLOCK << 1)
+        rng = np.random.default_rng(n + 2)
+        parts = rng.normal(size=2 << n)
+        parts[rng.random(2 << n) < 0.2] = 0.0
+        parts[rng.random(2 << n) < 0.1] = -0.0
+        base = parts.view(complex)
+        a, b, c = (complex(np.exp(1j * angle)) for angle in (0.3, -1.1, 2.0))
+        matrices = [
+            np.diag([1, a]),  # diagonal with a factor of exactly 1
+            np.diag([a, b]),
+            gate_matrix(Gate(GateKind.PAULI_X)),
+            np.array([[0.6 * a, -0.8 * b], [0.8 * c, 0.6 * c * b / a]]),  # dense
+        ]
+        for target in range(n):
+            others = [q for q in range(n) if q != target]
+            for count in range(3):
+                controls = tuple(int(q) for q in rng.choice(others, size=count, replace=False))
+                matrix = matrices[(target + count) % len(matrices)]
+                expected = pair_oracle(base, n, matrix, target, controls).view(np.uint64)
+                for block in blocks:
+                    monkeypatch.setattr(sim, "_BLOCK", block)
+                    got = apply_kernel(StateVector(n, base.copy()), matrix, target, controls).amps
+                    assert np.array_equal(got.view(np.uint64), expected), (
+                        target, controls, matrix, block,
+                    )
+
+    @pytest.mark.parametrize("n", [16, 18])
+    @pytest.mark.parametrize("controls", [(), (3,)], ids=["c0", "c1"])
+    @pytest.mark.parametrize(
+        "kind, blocks",
+        [(GateKind.HADAMARD, 4), (GateKind.PAULI_X, 2), (GateKind.PAULI_Y, 4)],
+    )
+    def test_gate_on_a_pair_view_allocates_at_most_a_few_blocks(
+        self, kind, blocks, controls, n, monkeypatch
+    ):
+        # the module docstring's table: on a pair view an X takes 2 blocks of
+        # 16·_BLOCK bytes and any other dense matrix 4, at any state size, plus
+        # a few KiB of array headers; checked at the module's block size and
+        # at a smaller and a larger one
+        sim = qvm.simulator
+        matrix = gate_matrix(Gate(kind))
+        for block in (sim._BLOCK >> 2, sim._BLOCK, sim._BLOCK << 2):
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            bound = blocks * 16 * block + 8 * 1024
+            for target in (0, n // 2, n - 1):
+                state = StateVector.zero(n)
+                tracemalloc.start()
+                try:
+                    live, _ = tracemalloc.get_traced_memory()
+                    apply_kernel(state, matrix, target, controls)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak - live <= bound, (block, target, peak - live)
+
     @pytest.mark.parametrize(
         "kind, bound",
         [(GateKind.HADAMARD, 1.5), (GateKind.PAULI_X, 1.1), (GateKind.PAULI_Y, 1.5)],
@@ -796,6 +861,143 @@ class TestExtractDump:
             used = (peak - after) / state_bytes
             assert used <= bound + 0.15, (name, used)
 
+    @pytest.mark.parametrize(
+        "qubits",
+        [(0,), (7,), (0, 1, 2), (2, 1, 0), (5, 6, 7), tuple(range(16)), tuple(reversed(range(16)))],
+        ids=["k1", "k1-middle", "k3", "k3-reversed", "k3-middle", "kn", "kn-reversed"],
+    )
+    def test_readouts_allocate_at_most_the_blocked_bounds(self, qubits):
+        # the rows of the module docstring's readout table that blocks made
+        # stricter, in bytes at n = 16, where B = 16·_BLOCK is one block: a
+        # measurement of every qubit takes S / 2 + 2·B, and a dump
+        # 5·S / 2^(n-k) + S / 2^(k-1) + 4·B, that is, for k = 1 or 3, a few
+        # blocks plus four floats per group
+        n, k = 16, len(qubits)
+        state_bytes, block = 16 << n, 16 * qvm.simulator._BLOCK
+        amps = kron_all(product_factors(np.random.default_rng(k), n)).ravel()
+        readouts = {
+            "dump": (
+                lambda state: extract_dump(state, qubits),
+                5 * state_bytes / 2 ** (n - k) + state_bytes / 2 ** (k - 1) + 4 * block,
+            ),
+        }
+        if k == n:
+            readouts["measure"] = (
+                lambda state: measure_kernel(state, qubits, Xoshiro256StarStar(k)),
+                state_bytes / 2 + 2 * block,
+            )
+        for name, (readout, bound) in readouts.items():
+            state = StateVector(n, amps.copy())
+            tracemalloc.start()
+            try:
+                kept = readout(state)  # still alive, so ``after`` counts it
+                after, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - after <= bound, (name, peak - after, bound)
+
+
+def unblocked_measure(state, qubits, u):
+    """``measure_kernel`` as it was before its wide-state path ran in blocks."""
+    k = len(qubits)
+    view = qvm.simulator._selection(state, qubits, "measurement")
+    probs = (np.abs(view) ** 2).sum(axis=tuple(range(state.n - k))).ravel()
+    total = float(probs.sum())
+    if not total >= 1e-12:
+        raise DegenerateState("state has no probability mass left")
+    if math.isinf(total):
+        raise DegenerateState("state has infinite probability mass")
+    outcome = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    if outcome >= len(probs):
+        outcome = int(np.flatnonzero(probs > 0)[-1])
+    p = float(probs[outcome])
+    if p < 1e-12:
+        raise DegenerateState(f"sampled outcome {outcome} has probability {p}")
+    index = (..., *((outcome >> (k - 1 - j)) & 1 for j in range(k)))
+    kept = view[index] * (1.0 / math.sqrt(p))
+    state.amps.fill(0.0)
+    view[index] = kept
+    return outcome, state
+
+
+def unblocked_dump(state, qubits):
+    """``extract_dump`` as it was before its groups were read in blocks."""
+    groups = qvm.simulator._selection(state, qubits, "dump").reshape(-1, 1 << len(qubits))
+    norms = np.sqrt((np.abs(groups) ** 2).sum(axis=1))
+    largest = norms.max()
+    if not largest > 0:
+        raise DegenerateState("state has no probability mass left")
+    if math.isinf(largest):
+        raise DegenerateState("state has infinite probability mass")
+    dominant = int(np.argmax(norms >= largest * (1 - 1e-9)))
+    reference = groups[dominant] / norms[dominant]
+    residual = np.multiply(groups, reference.conj(), out=np.empty(groups.shape, dtype=complex))
+    np.multiply.outer(residual.sum(axis=1), reference, out=residual)
+    np.subtract(groups, residual, out=residual)
+    squares = residual.view(float)
+    np.square(squares, out=squares)
+    residual_norms = np.sqrt(squares.sum(axis=1))
+    if np.any((norms > 1e-9) & (residual_norms > 1e-9 * norms)):
+        raise EntangledSelection(f"qubits {qubits} are entangled with the rest of the state")
+    significant = np.flatnonzero(np.abs(reference) > DUST)
+    vector = reference[significant]
+    lead = vector[0]
+    if not -math.pi / 2 < math.atan2(lead.imag, lead.real) <= math.pi / 2:
+        vector = -vector
+    return qvm.simulator.DumpData(qubits, tuple(zip(significant.tolist(), vector.tolist())))
+
+
+class TestBlockedReadouts:
+    @staticmethod
+    def result(readout, *args):
+        try:
+            return readout(*args)
+        except (DegenerateState, EntangledSelection) as error:
+            return type(error), str(error)
+
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    def test_match_the_unblocked_formulas(self, n):
+        # the same outcomes, collapsed bits, dumps and errors as the formulas
+        # that read the whole state at once: on an entangled state, a product
+        # state, one with half its mass (so a draw of 0.9 passes the total),
+        # and states with no, NaN and infinite mass; for k = n, k = n - 1 and
+        # k = 1 or 3, in order, reversed and in the middle of the register
+        rng = np.random.default_rng(n)
+        product = kron_all(product_factors(rng, n)).ravel()
+        nan, inf = product.copy(), product.copy()
+        nan[5], inf[5] = math.nan, math.inf
+        states = [
+            random_state(rng, n).amps, product, product * SQRT1_2,
+            np.zeros(1 << n, dtype=complex), nan, inf,
+        ]
+        selections = [
+            tuple(range(n)), tuple(reversed(range(n))), tuple(range(1, n)),
+            tuple(reversed(range(n - 1))), (0,), (n - 1,), (7,), (0, 1, 2), (2, 1, 0), (5, 6, 7),
+        ]
+        for case, amps in enumerate(states):
+            for qubits in selections:
+                for u in (0.0, 0.37, 0.9):
+                    want = self.result(unblocked_measure, StateVector(n, amps.copy()), qubits, u)
+                    got = self.result(
+                        measure_kernel, StateVector(n, amps.copy()), qubits, FixedDraw(u)
+                    )
+                    if isinstance(want[1], StateVector):
+                        assert got[0] == want[0], (case, qubits, u)
+                        assert np.array_equal(
+                            got[1].amps.view(np.uint64), want[1].amps.view(np.uint64)
+                        ), (case, qubits, u)
+                    else:
+                        assert got == want, (case, qubits, u)
+                want = self.result(unblocked_dump, StateVector(n, amps.copy()), qubits)
+                got = self.result(extract_dump, StateVector(n, amps.copy()), qubits)
+                assert got == want, (case, qubits)
+                if isinstance(want, qvm.simulator.DumpData):
+                    bits = [
+                        np.array([a for _, a in d.basis_states]).view(np.uint64)
+                        for d in (got, want)
+                    ]
+                    assert np.array_equal(*bits), (case, qubits)
+
 
 class TestExecute:
     def test_kernels_are_looked_up_on_every_run(self, monkeypatch):
@@ -894,6 +1096,29 @@ class TestExecute:
             assert len(created) == 1 and created[0]() is None
         finally:
             gc.enable()
+
+    def test_wide_qft_program_peaks_at_most_half_a_state_above_its_state(self):
+        # the benchmark's qft-wide request in one execute at n = 18: no gate or
+        # readout holds more than the S / 2 distribution of the full measure
+        n = 18
+        state_bytes = 16 << n
+        p = qvm.new_process()
+        qs = p.alloc(n)
+        for q in qs[::3]:
+            qvm.x(q)
+        qvm.qft(qs)
+        p.dump_state(qs[:3])
+        p.measure(qs)
+        code = p.code
+        tracemalloc.start()
+        try:
+            live, _ = tracemalloc.get_traced_memory()
+            result = execute(code, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.dumps[0].basis_states) == 8  # a product state, so the dump runs through
+        assert peak - live - state_bytes <= state_bytes / 2 + (1 << 20), peak - live - state_bytes
 
     def test_norm_drift_raises_engine_failure(self, monkeypatch):
         def doubling(state, matrix, target, controls=()):
