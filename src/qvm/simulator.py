@@ -36,12 +36,13 @@ last, in the listed order.  Writes through the view reach the state.
   block.
 - A measurement sums ``|amplitude|²`` over the view's unselected axes,
   samples an outcome, and keeps only that outcome's slice of the view.  Of
-  every qubit of a state larger than a block, it squares the magnitudes in
-  one buffer.  It takes the cumulative sum for the draw a block at a time.
+  every qubit, it squares the magnitudes in one buffer.  It takes the
+  cumulative sum for the draw a block at a time.
 - A dump checks every row of the view (one group per pattern of the
   unselected qubits) against one reference group by rank-1 residuals, in
-  blocks of consecutive rows that hold at most ``_BLOCK`` amplitudes, or one
-  row where a row is larger.
+  blocks of consecutive rows, or one row where a row is larger.  A block
+  holds at most ``2 * _BLOCK`` amplitudes where the rows are a view of the
+  state, and ``_BLOCK`` where each block is copied.
 
 No bit depends on the blocks: each amplitude, sum and product sees the same
 operations on the same operand layout as it would on the whole.  Temporary
@@ -71,8 +72,8 @@ to five vectors of the selection at once (the reference with its
 conjugate, then with the indices and values it lists and their negation).
 Its groups are a view of the state, never written, when the qubits are one
 run in ascending order at either end of the register; otherwise each block
-is copied.  The tuples it returns take about 8·S more when it lists every
-amplitude.
+is copied, so a block and its residuals take 2·B either way.  The tuples it
+returns take about 8·S more when it lists every amplitude.
 
 ``execute`` runs the flat ops that ``QuantumCode.validate`` returns, as they
 are: a conditioned block is a forward jump, with no tree walk, recursion or
@@ -119,12 +120,14 @@ _IN_PLACE_MIN = 1 << 11
 
 # Wide-state paths run in blocks of at most this many amplitudes (128 KiB)
 # per side: X and dense gates on pair views whose sides are larger, the
-# cumulative sum of a measurement's distribution, and a dump's groups.  So
-# their temporaries stay a few blocks, not a share of the state.  Per call
-# on a 2-vCPU x86-64 host, averaged over targets, in 20 alternating pairs of
-# processes against whole sides, H, X and RY with 0 and 1 control took
-# 0.44-0.80x the time at n = 17-20, 0.50-1.00x at n = 16 and 0.57-1.07x at
-# n = 15, where an X's two blocks cost more calls than they save (44 to 47 us).
+# cumulative sum of a measurement's distribution, and a dump's groups (twice
+# this where they are a view of the state).  So their temporaries stay a few
+# blocks, not a share of the state.  Per call on a 2-vCPU x86-64 host,
+# averaged over targets, in 20 alternating pairs of processes against whole
+# sides, H, X and RY with 0 and 1 control took 0.44-0.84x the time at
+# n = 17-20 and 0.51-1.04x at n = 16.  At n = 15 an X's two blocks cost more
+# calls than they save (1.04-1.07x, about 2 us), and dense gates on blocks
+# of 2^13 swing with heap layout (0.80-1.42x), as whole sides of 2^13 do.
 _BLOCK = 1 << 13
 
 # Entries kept by the cache of flat indices, the kernel's only cache, keyed by
@@ -344,7 +347,7 @@ def _blocks(pair: np.ndarray):
         inner *= runs[axis]
         axis -= 1
     step = _BLOCK // inner
-    for outer in np.ndindex(runs[:axis]) if axis else [()]:  # ndindex is slow to start
+    for outer in itertools.product(*map(range, runs[:axis])):
         for start in range(0, runs[axis], step):
             yield pair[(slice(None), *outer, slice(start, start + step))]
 
@@ -361,7 +364,7 @@ def measure_kernel(
     qubits = tuple(qubits)
     k = len(qubits)
     view = _selection(state, qubits, "measurement")
-    if k < state.n or len(state.amps) <= _BLOCK:
+    if k < state.n:
         probs = (np.abs(view) ** 2).sum(axis=tuple(range(state.n - k))).ravel()
     else:  # the same squares in one buffer, which a sum over no axis would copy
         probs = np.abs(view, out=np.empty(view.shape))
@@ -421,29 +424,26 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     qubits = tuple(qubits)
     k = len(qubits)
     view = _selection(state, qubits, "dump")
-    one_block = len(state.amps) <= _BLOCK
-    if one_block:
-        groups = view.reshape(-1, 1 << k)
-        norms = _group_norms(groups)
-    else:
-        in_place = qubits in (tuple(range(k)), tuple(range(state.n - k, state.n)))
-        norms = np.concatenate([_group_norms(g) for g in _group_blocks(view, k, in_place)])
+    in_place = qubits in (tuple(range(k)), tuple(range(state.n - k, state.n)))
+    norms = np.sqrt(
+        np.concatenate(
+            [_squared_magnitudes(g).sum(axis=1) for g in _group_blocks(view, k, in_place)]
+        )
+    )
     largest = norms.max()
     if not largest > 0:  # a NaN fails too
         raise DegenerateState("state has no probability mass left")
     if math.isinf(largest):
         raise DegenerateState("state has infinite probability mass")
     dominant = int(np.argmax(norms >= largest * (1 - 1e-9)))
-    if one_block:
-        reference = groups[dominant] / norms[dominant]
-        residual_norms = _residual_norms(groups, reference, reference.conj())
-    else:
-        row = view[np.unravel_index(dominant, view.shape[: state.n - k])]
-        reference = _as_groups(row, k, in_place)[0] / norms[dominant]
-        conjugate = reference.conj()
-        residual_norms = np.concatenate(
-            [_residual_norms(g, reference, conjugate) for g in _group_blocks(view, k, in_place)]
+    row = view[np.unravel_index(dominant, view.shape[: state.n - k])]
+    reference = row.ravel() / norms[dominant]
+    conjugate = reference.conj()
+    residual_norms = np.sqrt(
+        np.concatenate(
+            [_residual_squares(g, reference, conjugate) for g in _group_blocks(view, k, in_place)]
         )
+    )
     if np.any((norms > 1e-9) & (residual_norms > 1e-9 * norms)):
         raise EntangledSelection(f"qubits {qubits} are entangled with the rest of the state")
     significant = np.flatnonzero(np.abs(reference) > DUST)
@@ -454,29 +454,34 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     return DumpData(qubits, tuple(zip(significant.tolist(), vector.tolist())))
 
 
-def _group_norms(groups: np.ndarray) -> np.ndarray:
-    return np.sqrt((np.abs(groups) ** 2).sum(axis=1))
-
-
-def _as_groups(rows: np.ndarray, k: int, in_place: bool) -> np.ndarray:
-    """``rows``, a slice of a dump's view, as groups of ``2^k`` laid out as the whole view's are."""
-    return (rows if in_place else np.ascontiguousarray(rows)).reshape(-1, 1 << k)
-
-
 def _group_blocks(view: np.ndarray, k: int, in_place: bool):
     """A dump's groups, ``view.reshape(-1, 2^k)``, in blocks of consecutive rows.
 
     A block fixes the view's leading unselected axes, so it holds at most
-    ``_BLOCK`` amplitudes, or one group where a group is larger.  Where the
-    groups are no view of the state, each block is copied on its own.
+    ``2 * _BLOCK`` amplitudes where the groups are a view of the state and
+    ``_BLOCK`` where each block is copied on its own, or one group where a
+    group is larger.  A copy is C-contiguous, as a copy of the whole view is.
     """
-    fixed = max(view.ndim - max(k, _BLOCK.bit_length() - 1), 0)
+    size = _BLOCK << 1 if in_place else _BLOCK
+    fixed = max(view.ndim - max(k, size.bit_length() - 1), 0)
     for index in itertools.product((0, 1), repeat=fixed):
-        yield _as_groups(view[index], k, in_place)
+        rows = view[index]
+        yield (rows if in_place else np.ascontiguousarray(rows)).reshape(-1, 1 << k)
 
 
-def _residual_norms(groups: np.ndarray, reference: np.ndarray, conjugate: np.ndarray) -> np.ndarray:
-    """Norm of each group less its projection onto ``reference`` (conjugated: ``conjugate``)."""
+def _squared_magnitudes(groups: np.ndarray) -> np.ndarray:
+    """``np.abs(groups) ** 2``, bit for bit, squared in the buffer that ``np.abs`` returns."""
+    magnitudes = np.abs(groups)
+    return np.square(magnitudes, out=magnitudes)
+
+
+def _residual_squares(
+    groups: np.ndarray, reference: np.ndarray, conjugate: np.ndarray
+) -> np.ndarray:
+    """Squared norm of each group less its projection onto ``reference``.
+
+    ``conjugate`` is the reference conjugated.
+    """
     # one C-contiguous buffer (so it has a float view) holds the projections
     # of the groups onto the reference, then the residuals; numpy sums them,
     # not BLAS matmul, whose first call maps work buffers of its own
@@ -485,7 +490,7 @@ def _residual_norms(groups: np.ndarray, reference: np.ndarray, conjugate: np.nda
     np.subtract(groups, residual, out=residual)
     squares = residual.view(float)
     np.square(squares, out=squares)
-    return np.sqrt(squares.sum(axis=1))
+    return squares.sum(axis=1)
 
 
 def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:

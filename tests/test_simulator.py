@@ -955,13 +955,14 @@ class TestBlockedReadouts:
         except (DegenerateState, EntangledSelection) as error:
             return type(error), str(error)
 
-    @pytest.mark.parametrize("n", [16, 17, 18])
+    @pytest.mark.parametrize("n", [8, 13, 14, 16, 17, 18])
     def test_match_the_unblocked_formulas(self, n):
         # the same outcomes, collapsed bits, dumps and errors as the formulas
-        # that read the whole state at once: on an entangled state, a product
-        # state, one with half its mass (so a draw of 0.9 passes the total),
-        # and states with no, NaN and infinite mass; for k = n, k = n - 1 and
-        # k = 1 or 3, in order, reversed and in the middle of the register
+        # that read the whole state at once, from states of one block to
+        # states of many: on an entangled state, a product state, one with
+        # half its mass (so a draw of 0.9 passes the total), and states with
+        # no, NaN and infinite mass; for k = n, k = n - 1 and k = 1 or 3, in
+        # order, reversed and in the middle of the register
         rng = np.random.default_rng(n)
         product = kron_all(product_factors(rng, n)).ravel()
         nan, inf = product.copy(), product.copy()
