@@ -164,7 +164,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed help (0) or its usage and error (2)
+        return 1 if exc.code else 0  # a rejected command line is bad input, not the engine's
     try:
         status = args.func(args)
         sys.stdout.flush()  # a reader that left early fails this flush, not the one at exit

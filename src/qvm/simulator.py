@@ -28,21 +28,23 @@ last, in the listed order.  Writes through the view reach the state.
   pair view, built on every call without a cache: the flat vector reshaped
   to an axis of 2 for each of the gate's qubits and one axis for each run
   of other qubits around them, every control axis read at 1 and the target
-  axis moved to the front.  An X or a dense gate runs on it in blocks whose
-  sides hold ``_BLOCK`` amplitudes, cut from its outermost run axes in, and
-  on each block as it would on the whole view: an X copies the reversed
-  pair, and a dense gate copies one side and writes both in place through
-  one more buffer of a side.  A view whose sides fit in one block is that
-  block.
+  axis moved to the front.  An X or a dense gate runs on it block by
+  block, as it would on the whole view: an X copies the reversed pair, and
+  a dense gate copies one side and writes both in place through one more
+  buffer of a side.
 - A measurement sums ``|amplitude|²`` over the view's unselected axes,
   samples an outcome, and keeps only that outcome's slice of the view.  Of
   every qubit, it squares the magnitudes in one buffer.  It takes the
-  cumulative sum for the draw a block at a time.
+  cumulative sum for the draw block by block.
 - A dump checks every row of the view (one group per pattern of the
-  unselected qubits) against one reference group by rank-1 residuals, in
-  blocks of consecutive rows, or one row where a row is larger.  A block
-  holds at most ``2 * _BLOCK`` amplitudes where the rows are a view of the
-  state, and ``_BLOCK`` where each block is copied.
+  unselected qubits) against one reference group by rank-1 residuals,
+  block by block.
+
+``_blocks(array, limit)`` alone cuts the blocks of gates, dumps and the
+draw's cumulative sum, as views of at most ``limit`` elements per index of
+axis 0: sides of ``_BLOCK`` amplitudes for a gate on a pair view, ``_BLOCK``
+outcomes for a draw, and for a dump ``2 * _BLOCK`` amplitudes of groups that
+are a view of the state, ``_BLOCK`` of copied ones, or one larger group.
 
 No bit depends on the blocks: each amplitude, sum and product sees the same
 operations on the same operand layout as it would on the whole.  Temporary
@@ -118,16 +120,20 @@ DUST = 1e-12
 # controls but up to 1.32x with them, and on 2^12 up to 3.2x.
 _IN_PLACE_MIN = 1 << 11
 
-# Wide-state paths run in blocks of at most this many amplitudes (128 KiB)
-# per side: X and dense gates on pair views whose sides are larger, the
-# cumulative sum of a measurement's distribution, and a dump's groups (twice
-# this where they are a view of the state).  So their temporaries stay a few
-# blocks, not a share of the state.  Per call on a 2-vCPU x86-64 host,
-# averaged over targets, in 20 alternating pairs of processes against whole
-# sides, H, X and RY with 0 and 1 control took 0.44-0.84x the time at
-# n = 17-20 and 0.51-1.04x at n = 16.  At n = 15 an X's two blocks cost more
-# calls than they save (1.04-1.07x, about 2 us), and dense gates on blocks
-# of 2^13 swing with heap layout (0.80-1.42x), as whole sides of 2^13 do.
+# The limit that _blocks is given, in amplitudes (128 KiB) per side: by
+# apply_kernel for X and dense gates on pair views, by _draw for the
+# cumulative sum of a measurement's distribution, and by extract_dump for
+# its groups (twice this where they are a view of the state).  So their
+# temporaries stay a few blocks, not a share of the state.  Per call on a
+# 2-vCPU x86-64 host, averaged over targets, in 20 alternating pairs of
+# processes against whole sides, H, X and RY with 0 and 1 control took
+# 0.44-0.84x the time at n = 17-20 and 0.51-1.04x at n = 16.  At n = 15 an
+# X's two blocks cost more calls than they save (1.04-1.07x, about 2 us),
+# and dense gates on blocks of 2^13 swing with heap layout (0.80-1.42x), as
+# whole sides of 2^13 do.  In 20 more pairs, _blocks alone took 0.95-1.04x
+# the time of the walkers it replaced for X and H at n = 12-18, dumps at
+# n = 2-18 and readouts at n = 14-18, and 1.04-1.08x (0.6-0.9 us) for
+# measurements at n = 2-8.
 _BLOCK = 1 << 13
 
 # Entries kept by the cache of flat indices, the kernel's only cache, keyed by
@@ -319,7 +325,7 @@ def apply_kernel(
             if factor != 1:
                 np.multiply(side, factor, out=side)
         return state
-    for block in (pair,) if len(amps) >> len(controls) <= 2 * _BLOCK else _blocks(pair):
+    for block in _blocks(pair, _BLOCK):
         if swap:
             block[...] = block[::-1]
         else:
@@ -334,22 +340,27 @@ def apply_kernel(
     return state
 
 
-def _blocks(pair: np.ndarray):
-    """Disjoint pieces of a pair view whose sides hold ``_BLOCK`` amplitudes each.
+def _blocks(array: np.ndarray, limit: int):
+    """Disjoint views of ``array`` that hold at most ``limit`` elements per index of axis 0.
 
-    A side's run axes, all powers of 2, are split from the outermost in:
-    the leading ones are fixed and one more is cut into chunks, so the inner
-    axes, and with them the layout of every operand, stay as they are.
+    Axis 0 stays whole.  An array that fits is returned alone, as ``(array,)``.
+    Otherwise the other axes are split from the outermost in: the leading
+    ones are fixed and one more is cut into chunks, so the inner axes, and
+    with them the layout of every operand, stay as they are.
     """
-    runs = pair.shape[1:]
+    if array.size <= limit * len(array):
+        return (array,)
+    runs = array.shape[1:]
     axis, inner = len(runs) - 1, 1
-    while inner * runs[axis] <= _BLOCK:
+    while inner * runs[axis] <= limit:
         inner *= runs[axis]
         axis -= 1
-    step = _BLOCK // inner
-    for outer in itertools.product(*map(range, runs[:axis])):
-        for start in range(0, runs[axis], step):
-            yield pair[(slice(None), *outer, slice(start, start + step))]
+    step = limit // inner
+    return (
+        array[(slice(None), *outer, slice(start, start + step))]
+        for outer in itertools.product(*map(range, runs[:axis]))
+        for start in range(0, runs[axis], step)
+    )
 
 
 def measure_kernel(
@@ -374,11 +385,7 @@ def measure_kernel(
         raise DegenerateState("state has no probability mass left")
     if math.isinf(total):
         raise DegenerateState("state has infinite probability mass")
-    u = rng.uniform()
-    if len(probs) <= _BLOCK:
-        outcome = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    else:
-        outcome = _search_in_blocks(probs, u)
+    outcome = _draw(probs, rng.uniform())
     if outcome >= len(probs):
         outcome = int(np.flatnonzero(probs > 0)[-1])
     p = float(probs[outcome])
@@ -391,21 +398,24 @@ def measure_kernel(
     return outcome, state
 
 
-def _search_in_blocks(probs: np.ndarray, u: float) -> int:
+def _draw(probs: np.ndarray, u: float) -> int:
     """``np.searchsorted(np.cumsum(probs), u, side="right")``, ``_BLOCK`` outcomes at a time.
 
-    Each block's cumulative sum starts from the sum carried from the blocks
-    before it, so it makes the same additions in the same order as one
-    cumulative sum of ``probs``, and the search stops at the block holding ``u``.
+    Each block after the first starts its cumulative sum from the last sum of
+    the one before, so the additions are one cumulative sum's, in its order.
+    It stops at the block holding ``u``, or returns ``len(probs)``.
     """
-    carried = 0.0
-    for start in range(0, len(probs), _BLOCK):
-        cumulative = np.cumsum(np.concatenate(([carried], probs[start : start + _BLOCK])))
-        found = int(np.searchsorted(cumulative[1:], u, side="right"))
-        if found < len(cumulative) - 1:
-            return start + found
-        carried = cumulative[-1]
-    return len(probs)
+    start = 0
+    for block in _blocks(probs[None], _BLOCK):
+        if start:
+            cumulative = np.cumsum(np.concatenate((cumulative[-1:], block[0])))[1:]
+        else:
+            cumulative = np.cumsum(block[0])
+        found = start + int(np.searchsorted(cumulative, u, side="right"))
+        start += len(cumulative)
+        if found < start:
+            return found
+    return start
 
 
 def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
@@ -424,12 +434,17 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     qubits = tuple(qubits)
     k = len(qubits)
     view = _selection(state, qubits, "dump")
+    # blocks of groups, copied unless the groups are a view of the state; g
+    # holds a block until the next is made (a copy freed sooner left 4 MiB
+    # more heap resident after a dump of (7, 6, 5) at n = 22, with glibc)
     in_place = qubits in (tuple(range(k)), tuple(range(state.n - k, state.n)))
-    norms = np.sqrt(
-        np.concatenate(
-            [_squared_magnitudes(g).sum(axis=1) for g in _group_blocks(view, k, in_place)]
-        )
-    )
+    limit = max(_BLOCK << in_place, 1 << k)
+    copy = np.asarray if in_place else np.ascontiguousarray
+
+    def groups():
+        return (copy(block).reshape(-1, 1 << k) for block in _blocks(view[None], limit))
+
+    norms = np.sqrt(np.concatenate([_squared_magnitudes(g).sum(axis=1) for g in groups()]))
     largest = norms.max()
     if not largest > 0:  # a NaN fails too
         raise DegenerateState("state has no probability mass left")
@@ -440,9 +455,7 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     reference = row.ravel() / norms[dominant]
     conjugate = reference.conj()
     residual_norms = np.sqrt(
-        np.concatenate(
-            [_residual_squares(g, reference, conjugate) for g in _group_blocks(view, k, in_place)]
-        )
+        np.concatenate([_residual_squares(g, reference, conjugate) for g in groups()])
     )
     if np.any((norms > 1e-9) & (residual_norms > 1e-9 * norms)):
         raise EntangledSelection(f"qubits {qubits} are entangled with the rest of the state")
@@ -452,21 +465,6 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     if not -math.pi / 2 < math.atan2(lead.imag, lead.real) <= math.pi / 2:
         vector = -vector
     return DumpData(qubits, tuple(zip(significant.tolist(), vector.tolist())))
-
-
-def _group_blocks(view: np.ndarray, k: int, in_place: bool):
-    """A dump's groups, ``view.reshape(-1, 2^k)``, in blocks of consecutive rows.
-
-    A block fixes the view's leading unselected axes, so it holds at most
-    ``2 * _BLOCK`` amplitudes where the groups are a view of the state and
-    ``_BLOCK`` where each block is copied on its own, or one group where a
-    group is larger.  A copy is C-contiguous, as a copy of the whole view is.
-    """
-    size = _BLOCK << 1 if in_place else _BLOCK
-    fixed = max(view.ndim - max(k, size.bit_length() - 1), 0)
-    for index in itertools.product((0, 1), repeat=fixed):
-        rows = view[index]
-        yield (rows if in_place else np.ascontiguousarray(rows)).reshape(-1, 1 << k)
 
 
 def _squared_magnitudes(groups: np.ndarray) -> np.ndarray:

@@ -183,6 +183,32 @@ def test_errors_from_the_engine_map_to_exit_codes(monkeypatch, capsys, error, st
     assert run_cli(capsys, "run", "bell") == (status, "", f"{prefix}no result\n")
 
 
+class TestExitStatus:
+    @pytest.mark.parametrize("argv", [(), ("run",), ("run", "bell", "--shots", "x"), ("nope",)])
+    def test_rejected_command_line_exits_one_with_usage_on_stderr(self, capsys, argv):
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, out) == (1, "")
+        assert err.startswith("usage: qvm") and "error: " in err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("run", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, err) == (0, "") and out.startswith("usage: qvm")
+
+    def test_console_script_statuses(self):
+        # as a shell sees them; test_errors_from_the_engine_map_to_exit_codes
+        # checks 1 for a QvmError and 2 for an engine failure
+        src = str(Path(qvm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        statuses = [
+            subprocess.run(
+                [sys.executable, "-m", "qvm.cli", *argv], env=env, capture_output=True
+            ).returncode
+            for argv in (("--help",), ("run", "bell", "--shots", "x"), ("run", "nope"))
+        ]
+        assert statuses == [0, 1, 1]
+
+
 # sha256 of stdout of ``run <example> --shots 300 --seed 9``, taken before the
 # command line streamed its shots, so streaming is checked to keep every byte.
 STREAM_DIGESTS = {

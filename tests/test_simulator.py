@@ -1000,6 +1000,97 @@ class TestBlockedReadouts:
                     assert np.array_equal(*bits), (case, qubits)
 
 
+class TestDraw:
+    @pytest.mark.parametrize("block", [4, None], ids=["block4", "block"])
+    def test_matches_one_cumulative_search(self, block, monkeypatch):
+        # the outcome of one searchsorted over one cumsum, for draws of 0,
+        # each block's last cumulative sum and its neighbours, random draws,
+        # the total and past it, on distributions with runs of zero
+        # probability across block edges; at a block size of 4 for every
+        # length to 19, and at the module's block size for lengths of one
+        # block less one, one block, one block and one, and three blocks and five
+        sim = qvm.simulator
+        if block:
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            sizes = range(1, 20)
+        else:
+            block = sim._BLOCK
+            sizes = (block - 1, block, block + 1, 3 * block + 5)
+        rng = np.random.default_rng(block)
+        for size in sizes:
+            probs = rng.random(size)
+            for edge in range(block, size, block):  # zeros on both sides of a block edge
+                probs[max(edge - 2, 0) : edge + 3] = 0.0
+            probs[probs < 0.1] = 0.0
+            cumulative = np.cumsum(probs)
+            ends = cumulative[block - 1 :: block]
+            total = cumulative[-1]
+            draws = [
+                0.0, *ends, *np.nextafter(ends, -1.0), *np.nextafter(ends, 2.0 * total + 1),
+                *(rng.random(20) * total), total, np.nextafter(total, np.inf), total + 1.0,
+            ]
+            for u in draws:
+                want = int(np.searchsorted(cumulative, u, side="right"))
+                assert sim._draw(probs, float(u)) == want, (size, u)
+            assert sim._draw(probs, float(total)) == size
+
+
+def pair_view(n, target, controls):
+    """A gate's pair view of ``np.arange(1, 2^n + 1)``, built as ``apply_kernel`` builds it."""
+    shape, index, start = [], [], 0
+    for q in (qubits := sorted((target, *controls))):
+        shape += (1 << (q - start), 2)
+        index += (slice(None), slice(None) if q == target else 1)
+        start = q + 1
+    front = 1 + qubits.index(target)
+    view = np.arange(1.0, (1 << n) + 1).reshape(*shape, 1 << (n - start))[tuple(index)]
+    return view.transpose(front, *range(front), *range(front + 1, view.ndim))
+
+
+@st.composite
+def block_cases(draw):
+    """``(array, limit, k)``: a pair view (k = 0) or a dump's ``view[None]`` of k qubits."""
+    n = draw(st.integers(1, 10))
+    limit = 1 << draw(st.integers(0, n + 1))
+    qubits = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        target, controls = qubits[0], qubits[1 : draw(st.integers(1, n))]
+        return pair_view(n, target, controls), limit, 0
+    k = draw(st.integers(1, n))
+    rest = sorted(qubits[k:])
+    view = np.arange(1.0, (1 << n) + 1).reshape((2,) * n).transpose(rest + qubits[:k])
+    return view[None], max(limit, 1 << k), k
+
+
+def addresses(array):
+    """The address in memory of each element of ``array``, in a flat array."""
+    offsets = sum(i * stride for i, stride in zip(np.indices(array.shape), array.strides))
+    return (array.__array_interface__["data"][0] + offsets).ravel()
+
+
+class TestBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(block_cases())
+    def test_cut_disjoint_views_that_cover_the_array(self, case):
+        # the pieces are views that hold each of the array's elements once,
+        # at the element's own address
+        array, limit, k = case
+        cut = qvm.simulator._blocks(array, limit)
+        if array.size <= limit * len(array):
+            assert type(cut) is tuple and len(cut) == 1 and cut[0] is array
+        pieces = list(cut)
+        for piece in pieces:
+            assert len(piece) == len(array) and piece.size <= limit * len(array)
+            assert piece.size % (1 << k) == 0  # a dump's blocks hold whole groups
+            inner = piece.ndim - 1  # the chunked axis and those inside it
+            assert piece.strides[0] == array.strides[0]
+            assert piece.strides[1:] == array.strides[array.ndim - inner :]
+            assert piece.shape[2:] == array.shape[array.ndim - inner + 1 :]
+            assert np.shares_memory(piece, array)
+        held = np.sort(np.concatenate([addresses(piece) for piece in pieces]))
+        assert np.array_equal(held, np.sort(addresses(array)))
+
+
 class TestExecute:
     def test_kernels_are_looked_up_on_every_run(self, monkeypatch):
         p = qvm.new_process()
