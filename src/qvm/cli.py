@@ -185,6 +185,9 @@ def main(argv: list[str] | None = None) -> int:
     except (QvmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # the host could not hold the state or a result
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -218,32 +218,30 @@ class QuantumCode:
         Any defect raises MalformedCode.  Qubit references are checked against
         the number of qubits allocated up to that point in program order, so a
         gate can never run before its qubit exists.  Any field of the wrong
-        type or shape, such as a list where the dataclass declares a tuple,
-        raises MalformedCode too.
+        type or shape raises MalformedCode too: a type must be exact, so a
+        list or a tuple subclass where the dataclass declares a tuple fails,
+        as does a subclass of an instruction, ``Gate``, ``Condition`` or
+        ``QuantumCode``.
 
         Each op is ``(kind, a, b, c, instruction)`` with ``kind`` the
         instruction's class: ``GateApp`` (gate, target, controls), ``Alloc``
         (count), ``Measure`` (qubits, future), ``Dump`` (qubits, dump) or
         ``Branch`` (future, literal, index of the first op past its body,
         which follows it).  Each field is read once, and the ops hold the
-        values checked, with every container an exact tuple.
+        values checked.
 
-        A code that passes remembers its ops, and later calls return them at
-        once, if the code, every instruction, ``Gate`` and ``Condition`` is of
-        its exact class and every container an exact ``tuple``: these are
-        frozen, so such a code cannot change.  Otherwise, as with a tuple
-        subclass that could yield other items on a later pass, every call
-        checks in full and returns new ops.  A failed check is never remembered.
+        A code that passes cannot change, so it remembers its ops and later
+        calls return them at once; a failed check is never remembered.
         """
         ops = self.__dict__.get("_ops")
         if ops is not None:
             return ops
+        _check_type(self, QuantumCode, "program")
         num_qubits, num_futures, num_dumps = self.num_qubits, self.num_futures, self.num_dumps
         if not all(map(_is_int, (num_qubits, num_futures, num_dumps))):
             raise MalformedCode("header counts must be integers")
         instructions = self.instructions
         _check_type(instructions, tuple, "program instructions")
-        exact = self.__class__ is QuantumCode and instructions.__class__ is tuple
         allocated = 0
         futures: set[int] = set()
         dumps: set[int] = set()
@@ -253,20 +251,16 @@ class QuantumCode:
         branches = []  # (index of its op, future, literal, instruction) of each open branch
         while blocks:
             for ins in blocks[-1]:
-                if isinstance(ins, GateApp):  # first: most instructions are gates
+                kind = type(ins)
+                if kind is GateApp:  # first: most instructions are gates
                     gate, target, controls = ins.gate, ins.target, ins.controls
-                    if ins.__class__ is not GateApp or gate.__class__ is not Gate:
-                        if not isinstance(gate, Gate):
-                            raise MalformedCode("gate application without a gate")
-                        exact = False
-                    if controls.__class__ is not tuple:  # inline, as this runs per gate
+                    if type(gate) is not Gate:
+                        raise MalformedCode("gate application without a gate")
+                    if type(controls) is not tuple:  # inline, as this runs per gate
                         _check_type(controls, tuple, "gate controls")
-                        controls = tuple(controls)  # one pass over a tuple subclass
-                        exact = False
                     _check_indices((target, *controls), allocated, "gate")
                     append((GateApp, gate, target, controls, ins))
-                elif isinstance(ins, Alloc):
-                    exact = exact and ins.__class__ is Alloc
+                elif kind is Alloc:
                     if len(blocks) > 1:
                         raise MalformedCode("allocation inside a conditioned block")
                     count = ins.count
@@ -278,26 +272,22 @@ class QuantumCode:
                             f"program allocates {short_repr(allocated)} qubits, more than the limit of {MAX_QUBITS}"
                         )
                     append((Alloc, count, None, None, ins))
-                elif isinstance(ins, Measure):
+                elif kind is Measure:
                     if len(blocks) > 1:
                         raise MalformedCode("measurement inside a conditioned block")
                     qubits, future = ins.qubits, ins.future
-                    exact = exact and ins.__class__ is Measure and qubits.__class__ is tuple
-                    qubits = _check_readout(qubits, allocated, "measure", future, "future", futures)
+                    _check_readout(qubits, allocated, "measure", future, "future", futures)
                     append((Measure, qubits, future, None, ins))
-                elif isinstance(ins, Dump):
+                elif kind is Dump:
                     if len(blocks) > 1:
                         raise MalformedCode("dump inside a conditioned block")
                     qubits, dump = ins.qubits, ins.dump
-                    exact = exact and ins.__class__ is Dump and qubits.__class__ is tuple
-                    qubits = _check_readout(qubits, allocated, "dump", dump, "dump", dumps)
+                    _check_readout(qubits, allocated, "dump", dump, "dump", dumps)
                     append((Dump, qubits, dump, None, ins))
-                elif isinstance(ins, Branch):
+                elif kind is Branch:
                     condition, body = ins.condition, ins.body
                     _check_type(condition, Condition, "branch condition")
                     _check_type(body, tuple, "branch body")
-                    exact = exact and ins.__class__ is Branch and body.__class__ is tuple
-                    exact = exact and condition.__class__ is Condition
                     future, equals = condition.future, condition.equals
                     if not (_is_int(future) and _is_int(equals)):
                         raise MalformedCode(f"condition must hold integers, got {short_repr(condition)}")
@@ -326,8 +316,7 @@ class QuantumCode:
         if len(dumps) != num_dumps or dumps != set(range(num_dumps)):
             raise MalformedCode("dump ids are not exactly 0..num_dumps-1")
         ops = tuple(ops)
-        if exact:
-            self.__dict__["_ops"] = ops
+        self.__dict__["_ops"] = ops
         return ops
 
     def __eq__(self, other):
@@ -361,7 +350,7 @@ def _is_int(value) -> bool:
 
 
 def _check_type(value, kind: type, what: str) -> None:
-    if not isinstance(value, kind):
+    if type(value) is not kind:
         raise MalformedCode(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
@@ -373,10 +362,9 @@ def _check_indices(qubits: Sequence[int], allocated: int, what: str) -> None:
         raise MalformedCode(f"{what} lists a qubit more than once")
 
 
-def _check_readout(qubits, allocated: int, what: str, rid, kind: str, seen: set[int]) -> tuple[int, ...]:
-    """Check a measure's or dump's qubits and id; return the qubits as the exact tuple checked."""
+def _check_readout(qubits, allocated: int, what: str, rid, kind: str, seen: set[int]) -> None:
+    """Check a measure's or dump's qubits and id."""
     _check_type(qubits, tuple, f"{what} qubits")
-    qubits = tuple(qubits)  # one pass over a tuple subclass
     _check_indices(qubits, allocated, what)
     if not qubits:
         raise MalformedCode(f"{what} covers no qubits")
@@ -385,7 +373,6 @@ def _check_readout(qubits, allocated: int, what: str, rid, kind: str, seen: set[
     if rid in seen:
         raise MalformedCode(f"{kind} id {short_repr(rid)} produced twice")
     seen.add(rid)
-    return qubits
 
 
 class ProcessState(Enum):
@@ -578,7 +565,7 @@ class Process:
         """Record ``gate`` on ``target`` (plus any active controls); returns the handle."""
         self._require_building()
         self._require_own(target)
-        if not isinstance(gate, Gate):
+        if type(gate) is not Gate:
             raise TypeError(f"expected a Gate, got {short_repr(gate)}")
         top = self._top()
         if target.index in top.controls:

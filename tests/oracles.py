@@ -4,7 +4,8 @@ Everything here is built from plain dense linear algebra (tensor products of
 identities and projectors) and never calls the production kernels, except
 where a helper explicitly drives the kernels to assemble a circuit's matrix
 for comparison against these references.  ``ShiftingTuple`` is a hostile
-container for the tests of what ``validate`` remembers about a program.
+container that ``validate`` rejects, and ``assert_rejected_on_every_call``
+checks how a hostile program is rejected.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
 import qvm
 from qvm.render import SQRT_DENOM_LIMIT, SQRT_NUMER_LIMIT
@@ -23,7 +25,11 @@ P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 class ShiftingTuple(tuple):
-    """A tuple whose iteration yields ``later`` instead of its items from pass ``switch`` on."""
+    """A tuple whose iteration yields ``later`` instead of its items from pass ``switch`` on.
+
+    A code that held one could change after ``validate`` passed it, so
+    ``validate`` rejects a tuple subclass in every container slot.
+    """
 
     def __new__(cls, items, later, switch=2):
         self = super().__new__(cls, items)
@@ -33,6 +39,15 @@ class ShiftingTuple(tuple):
     def __iter__(self):
         self.passes += 1
         return iter(self.later if self.passes >= self.switch else tuple.__iter__(self))
+
+
+def assert_rejected_on_every_call(code, message: str | None = None) -> None:
+    """``validate``, ``execute`` and ``serialize`` each reject ``code`` twice, and it remembers no ops."""
+    for use in (lambda c: c.validate(), qvm.execute, qvm.serialize):
+        for _ in range(2):
+            with pytest.raises(qvm.MalformedCode, match=message):
+                use(code)
+    assert "_ops" not in vars(code)
 
 
 def kron_all(factors) -> np.ndarray:

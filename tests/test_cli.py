@@ -195,6 +195,13 @@ class TestExitStatus:
         status, out, err = run_cli(capsys, *argv)
         assert (status, err) == (0, "") and out.startswith("usage: qvm")
 
+    def test_out_of_memory_exits_one_with_one_error_line(self, monkeypatch, capsys):
+        def fail(code, seed=0):
+            raise MemoryError
+
+        monkeypatch.setattr("qvm.cli.execute", fail)
+        assert run_cli(capsys, "run", "bell") == (1, "", "error: out of memory\n")
+
     def test_console_script_statuses(self):
         # as a shell sees them; test_errors_from_the_engine_map_to_exit_codes
         # checks 1 for a QvmError and 2 for an engine failure

@@ -32,7 +32,7 @@ from qvm import (
 )
 from qvm.examples import EXAMPLES
 
-from oracles import ShiftingTuple, expand
+from oracles import ShiftingTuple, assert_rejected_on_every_call, expand
 
 GATE_H = Gate(GateKind.HADAMARD)
 GATE_X = Gate(GateKind.PAULI_X)
@@ -1177,40 +1177,29 @@ def _app_of_sub_gate(gate, target, controls=()):
 
 class TestRememberedValidation:
     @pytest.mark.parametrize(
-        "app", [_sub_gate_app, _app_of_sub_gate], ids=["GateApp-subclass", "Gate-subclass"]
+        "app, message",
+        [(_sub_gate_app, "^unknown instruction "), (_app_of_sub_gate, "^gate application without a gate$")],
+        ids=["GateApp-subclass", "Gate-subclass"],
     )
-    def test_code_with_a_gate_subclass_is_checked_again_on_every_call(self, app):
-        def build(make):
-            gates = (make(Gate(GateKind.RY, 0.3), 0), make(GATE_X, 1, (0,)))
-            return qvm.QuantumCode(2, (Alloc(2), *gates, qvm.Dump((0, 1), 0), Measure((0, 1), 0)), 1, 1)
+    def test_code_with_a_gate_subclass_is_rejected_on_every_call(self, app, message):
+        gates = (app(Gate(GateKind.RY, 0.3), 0), app(GATE_X, 1, (0,)))
+        code = qvm.QuantumCode(2, (Alloc(2), *gates, qvm.Dump((0, 1), 0), Measure((0, 1), 0)), 1, 1)
+        assert_rejected_on_every_call(code, message)
 
-        code, exact = build(app), build(GateApp)
-        a, b = code.validate(), code.validate()
-        assert a == b and a is not b
-        assert "_ops" not in vars(code)
-        assert qvm.execute(code, 3) == qvm.execute(exact, 3)
-        assert qvm.serialize(code) == qvm.serialize(exact)
-
-    def test_tuple_subclass_is_checked_again_on_every_call(self):
+    def test_tuple_subclass_is_rejected_on_every_call(self):
         bad_later = (Alloc(1), GateApp(GATE_X, 3))
         code = qvm.QuantumCode(1, ShiftingTuple((Alloc(1), GateApp(GATE_X, 0)), bad_later))
-        code.validate()
-        with pytest.raises(qvm.MalformedCode, match="^gate references qubit 3, only 1 allocated$"):
-            code.validate()
+        assert_rejected_on_every_call(code, "^program instructions must be a tuple, got ShiftingTuple$")
 
-    def test_tuple_subclass_body_is_checked_again(self):
+    def test_tuple_subclass_body_is_rejected_on_every_call(self):
         body = ShiftingTuple((GateApp(GATE_X, 0),), (GateApp(GATE_X, 2),))
         code = qvm.QuantumCode(1, (*MEASURED, qvm.Branch(ON_0, body)), num_futures=1)
-        code.validate()
-        with pytest.raises(qvm.MalformedCode, match="references qubit 2"):
-            code.validate()
+        assert_rejected_on_every_call(code, "^branch body must be a tuple, got ShiftingTuple$")
 
     def test_failed_validation_is_not_remembered(self):
-        # bad on the first pass, good on the second: the failure must not stick
+        # bad on the first pass, good on the second: it is rejected on every pass
         code = qvm.QuantumCode(1, ShiftingTuple((Alloc(2),), (Alloc(1),)))
-        with pytest.raises(qvm.MalformedCode):
-            code.validate()
-        code.validate()
+        assert_rejected_on_every_call(code, "^program instructions must be a tuple, got ShiftingTuple$")
         exact = qvm.QuantumCode(2, (Alloc(1),))
         for _ in range(2):
             with pytest.raises(qvm.MalformedCode, match="header says 2"):
@@ -1254,8 +1243,8 @@ DUMP_0 = qvm.Dump((0,), 0)
 
 
 # Programs whose items are ``seq(items, later)``: ``seq`` is ShiftingTuple for
-# a code valid on its first pass and invalid on its second, or a plain choice
-# of ``items`` for the same program as an exact code.
+# a hostile code whose items turn invalid on its second pass, or a plain choice
+# of ``items`` for the same program built of plain tuples.
 def _gate_out_of_range(seq):
     items = seq((Alloc(1), GateApp(GATE_X, 0), DUMP_0), (Alloc(1), GateApp(GATE_X, 5), DUMP_0))
     return qvm.QuantumCode(1, items, 0, 1)
@@ -1285,13 +1274,9 @@ class TestValidatedOps:
         [_gate_out_of_range, _not_an_instruction, _gate_in_a_branch_body, _gate_controls, _measured_qubits],
         ids=lambda build: build.__name__.lstrip("_"),
     )
-    def test_execute_and_serialize_use_only_the_pass_validate_checked(self, build):
-        exact = build(lambda items, later: items)
-        for use in (lambda code: qvm.execute(code, 3), qvm.serialize):
-            code = build(ShiftingTuple)
-            assert use(code) == use(exact)
-            with pytest.raises(qvm.MalformedCode):  # the second pass is checked, and fails
-                use(code)
+    def test_execute_and_serialize_reject_a_tuple_subclass_on_every_call(self, build):
+        build(lambda items, later: items).validate()  # the same program of plain tuples passes
+        assert_rejected_on_every_call(build(ShiftingTuple), "must be a tuple, got ShiftingTuple$")
 
     def test_validate_returns_the_flat_ops_and_a_remembered_code_the_same_ones(self):
         code = bell_code()
@@ -1304,3 +1289,81 @@ class TestValidatedOps:
         assert code.validate() is ops
         fresh = dataclasses.replace(code)
         assert fresh.validate() == ops and fresh.validate() is not ops
+
+
+def _every_slot(
+    instructions=tuple, body=tuple, controls=tuple, measured=tuple, dumped=tuple,
+    gate_app=GateApp, alloc=Alloc, measure=Measure, dump=qvm.Dump, branch=qvm.Branch,
+    gate=Gate, condition=qvm.Condition, code=qvm.QuantumCode,
+):
+    """A valid program that fills each container and class slot through its argument."""
+    cnot = gate_app(gate(GateKind.PAULI_X), 1, controls((0,)))
+    items = (
+        alloc(2), GateApp(GATE_H, 0), cnot, dump(dumped((0, 1)), 0), measure(measured((0,)), 0),
+        branch(condition(0, 1), body((GateApp(GATE_X, 1),))),
+    )
+    return code(2, instructions(items), 1, 1)
+
+
+def _shifting(items):
+    return ShiftingTuple(items, items)
+
+
+class _PosingTuple(tuple):
+    """A tuple subclass whose ``__class__`` reads ``tuple``; only ``type()`` tells it apart."""
+
+    __class__ = property(lambda self: tuple)
+
+
+class _PosingGateApp(GateApp):
+    __class__ = property(lambda self: GateApp)
+
+
+CONTAINERS = {"ShiftingTuple": _shifting, "list": list, "_PosingTuple": _PosingTuple}
+CONTAINER_SLOTS = {
+    "instructions": "program instructions",
+    "body": "branch body",
+    "controls": "gate controls",
+    "measured": "measure qubits",
+    "dumped": "dump qubits",
+}
+CLASS_SLOTS = {
+    "gate_app": (GateApp, "^unknown instruction "),
+    "alloc": (Alloc, "^unknown instruction "),
+    "measure": (Measure, "^unknown instruction "),
+    "dump": (qvm.Dump, "^unknown instruction "),
+    "branch": (qvm.Branch, "^unknown instruction "),
+    "gate": (Gate, "^gate application without a gate$"),
+    "condition": (qvm.Condition, "^branch condition must be a Condition, got _ConditionSubclass$"),
+    "code": (qvm.QuantumCode, "^program must be a QuantumCode, got _QuantumCodeSubclass$"),
+}
+
+
+class TestHostileTypes:
+    """``validate`` admits only the IR's own classes and plain tuples, in every slot."""
+
+    def test_the_program_of_plain_types_passes_and_is_remembered(self):
+        code = _every_slot()
+        assert code.validate() is code.validate() and "_ops" in vars(code)
+
+    @pytest.mark.parametrize("slot", list(CONTAINER_SLOTS))
+    @pytest.mark.parametrize("name", list(CONTAINERS))
+    def test_a_container_that_is_not_a_tuple_is_rejected(self, slot, name):
+        code = _every_slot(**{slot: CONTAINERS[name]})
+        assert_rejected_on_every_call(code, f"^{CONTAINER_SLOTS[slot]} must be a tuple, got {name}$")
+
+    @pytest.mark.parametrize("slot", list(CLASS_SLOTS))
+    def test_a_subclass_is_rejected(self, slot):
+        base, message = CLASS_SLOTS[slot]
+        code = _every_slot(**{slot: type(f"_{base.__name__}Subclass", (base,), {})})
+        assert_rejected_on_every_call(code, message)
+
+    def test_an_instruction_posing_as_its_base_is_rejected(self):
+        assert_rejected_on_every_call(_every_slot(gate_app=_PosingGateApp), "^unknown instruction ")
+
+    def test_builder_rejects_a_gate_subclass_at_record_time(self):
+        p = new_process()
+        (q,) = p.alloc(1)
+        with pytest.raises(TypeError, match="^expected a Gate, got "):
+            p.apply_gate(_GateSubclass(GateKind.PAULI_X), q)
+        assert p.code.instructions == (Alloc(1),)
