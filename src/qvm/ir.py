@@ -223,12 +223,13 @@ class QuantumCode:
         as does a subclass of an instruction, ``Gate``, ``Condition`` or
         ``QuantumCode``.
 
-        Each op is ``(kind, a, b, c, instruction)`` with ``kind`` the
-        instruction's class: ``GateApp`` (gate, target, controls), ``Alloc``
-        (count), ``Measure`` (qubits, future), ``Dump`` (qubits, dump) or
-        ``Branch`` (future, literal, index of the first op past its body,
-        which follows it).  Each field is read once, and the ops hold the
-        values checked.
+        The ops are the engine's input: ``simulator.execute`` runs them, and
+        every other caller uses this call as a check only.  Each op is
+        ``(kind, a, b, c, instruction)`` with ``kind`` the instruction's
+        class: ``GateApp`` (gate, target, controls), ``Alloc`` (count),
+        ``Measure`` (qubits, future), ``Dump`` (qubits, dump) or ``Branch``
+        (future, literal, index of the first op past its body, which follows
+        it).  Each field is read once, and the ops hold the values checked.
 
         A code that passes cannot change, so it remembers its ops and later
         calls return them at once; a failed check is never remembered.

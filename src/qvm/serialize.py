@@ -11,6 +11,9 @@ and a flat instruction array of tagged objects (spaced here for reading)::
 
 ``angle`` is present only for rx/ry/rz/phase and is given in radians.  This
 format is the contract between the command line, the builder, and the engine.
+The encoder writes each instruction dataclass of a validated code as one
+object, the decoder reads each object back into its dataclass, and neither
+reads the flat ops that ``QuantumCode.validate`` returns for the engine.
 The decoder checks only JSON shape and ``version``; ``Gate`` and
 ``QuantumCode.validate`` check every value it puts into the dataclasses.
 ``serialize`` writes the compact layout: one line with no spaces, then a
@@ -42,45 +45,43 @@ FORMAT_VERSION = 1
 def serialize(code: QuantumCode) -> bytes:
     """Encode a validated program as one line of compact UTF-8 JSON.
 
-    The nested document is rebuilt from the flat ops ``code.validate()``
-    returns, so it holds exactly the values that were checked.  Validation
-    caps nesting at ``ir.MAX_DEPTH``, which bounds the recursion of
+    ``code.validate()`` runs as a check only; each instruction is then
+    written as ``_decode_instruction`` reads it.  Validation caps nesting at
+    ``ir.MAX_DEPTH``, which bounds the recursion of ``_encode`` and of
     ``json.dumps``.
     """
-    ops = code.validate()
-    out: list[dict[str, Any]] = []
+    code.validate()
     doc = {
         "version": FORMAT_VERSION,
         "num_qubits": code.num_qubits,
         "num_futures": code.num_futures,
         "num_dumps": code.num_dumps,
-        "instructions": out,
+        "instructions": list(map(_encode, code.instructions)),
     }
-    end = -1  # index of the first op past the innermost open body
-    enclosing = []  # (end, out) of each body that holds the innermost one
-    for at, (kind, a, b, c, _) in enumerate(ops):
-        while at == end:
-            end, out = enclosing.pop()
-        if kind is GateApp:
-            item: dict[str, Any] = {"op": "gate", "kind": a.kind.value}
-            if a.angle is not None:
-                item["angle"] = a.angle
-            item["target"] = b
-            item["controls"] = list(c)
-        elif kind is Alloc:
-            item = {"op": "alloc", "count": a}
-        elif kind is Measure:
-            item = {"op": "measure", "qubits": list(a), "future": b}
-        elif kind is Dump:
-            item = {"op": "dump", "qubits": list(a), "dump": b}
-        else:
-            body: list[dict[str, Any]] = []
-            out.append({"op": "branch", "future": a, "equals": b, "body": body})
-            enclosing.append((end, out))
-            end, out = c, body
-            continue
-        out.append(item)
     return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _encode(ins: Instruction) -> dict[str, Any]:
+    """Map one validated instruction onto its JSON object, as ``_decode_instruction`` reads it."""
+    kind = type(ins)
+    if kind is GateApp:
+        gate = ins.gate
+        item: dict[str, Any] = {"op": "gate", "kind": gate.kind.value}
+        if gate.angle is not None:
+            item["angle"] = gate.angle
+        item["target"] = ins.target
+        item["controls"] = list(ins.controls)
+        return item
+    if kind is Alloc:
+        return {"op": "alloc", "count": ins.count}
+    if kind is Measure:
+        return {"op": "measure", "qubits": list(ins.qubits), "future": ins.future}
+    if kind is Dump:
+        return {"op": "dump", "qubits": list(ins.qubits), "dump": ins.dump}
+    # a Branch, the one class left that validate admits
+    condition = ins.condition
+    body = list(map(_encode, ins.body))
+    return {"op": "branch", "future": condition.future, "equals": condition.equals, "body": body}
 
 
 def _need(obj: dict, key: str) -> Any:

@@ -434,17 +434,21 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     qubits = tuple(qubits)
     k = len(qubits)
     view = _selection(state, qubits, "dump")
-    # blocks of groups, copied unless the groups are a view of the state; g
-    # holds a block until the next is made (a copy freed sooner left 4 MiB
-    # more heap resident after a dump of (7, 6, 5) at n = 22, with glibc)
+    # blocks of groups, copied unless the groups are a view of the state
     in_place = qubits in (tuple(range(k)), tuple(range(state.n - k, state.n)))
     limit = max(_BLOCK << in_place, 1 << k)
     copy = np.asarray if in_place else np.ascontiguousarray
 
-    def groups():
-        return (copy(block).reshape(-1, 1 << k) for block in _blocks(view[None], limit))
+    def per_group(fill):
+        """Square roots of what ``fill(groups, out)`` writes, block by block, into one array."""
+        out, start = np.empty(1 << (state.n - k)), 0
+        for block in _blocks(view[None], limit):
+            g = copy(block).reshape(-1, 1 << k)
+            fill(g, out[start : start + len(g)])
+            start += len(g)
+        return np.sqrt(out, out=out)
 
-    norms = np.sqrt(np.concatenate([_squared_magnitudes(g).sum(axis=1) for g in groups()]))
+    norms = per_group(lambda g, out: _squared_magnitudes(g).sum(axis=1, out=out))
     largest = norms.max()
     if not largest > 0:  # a NaN fails too
         raise DegenerateState("state has no probability mass left")
@@ -454,9 +458,7 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     row = view[np.unravel_index(dominant, view.shape[: state.n - k])]
     reference = row.ravel() / norms[dominant]
     conjugate = reference.conj()
-    residual_norms = np.sqrt(
-        np.concatenate([_residual_squares(g, reference, conjugate) for g in groups()])
-    )
+    residual_norms = per_group(lambda g, out: _residual_squares(g, reference, conjugate, out))
     if np.any((norms > 1e-9) & (residual_norms > 1e-9 * norms)):
         raise EntangledSelection(f"qubits {qubits} are entangled with the rest of the state")
     significant = np.flatnonzero(np.abs(reference) > DUST)
@@ -474,9 +476,9 @@ def _squared_magnitudes(groups: np.ndarray) -> np.ndarray:
 
 
 def _residual_squares(
-    groups: np.ndarray, reference: np.ndarray, conjugate: np.ndarray
+    groups: np.ndarray, reference: np.ndarray, conjugate: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Squared norm of each group less its projection onto ``reference``.
+    """Squared norm of each group less its projection onto ``reference``, written to ``out``.
 
     ``conjugate`` is the reference conjugated.
     """
@@ -488,7 +490,7 @@ def _residual_squares(
     np.subtract(groups, residual, out=residual)
     squares = residual.view(float)
     np.square(squares, out=squares)
-    return squares.sum(axis=1)
+    return squares.sum(axis=1, out=out)
 
 
 def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
@@ -501,9 +503,11 @@ def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
     drifts from 1 by more than 1e-9 raises EngineFailure.
 
     Every call validates ``code`` and runs the ops ``validate`` returns as
-    they are, each gate with the matrix its ``Gate`` carries; ``code`` is
-    never written.  The kernels are looked up when called, so a module
-    attribute set in their place is used.
+    they are, each gate with the matrix its ``Gate`` carries.  No field of
+    ``code`` changes, but the first ``validate`` stores the ops under
+    ``_ops`` in its ``__dict__``; ``==``, ``hash``, ``repr``, ``pickle`` and
+    ``copy`` ignore them.  The kernels are looked up when called, so a
+    module attribute set in their place is used.
     """
     ops = code.validate()
     state, rng = StateVector.zero(0), Xoshiro256StarStar(seed)

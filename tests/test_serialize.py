@@ -1,13 +1,17 @@
 """Wire-format round trips and rejection of malformed documents."""
 
+import contextlib
+import hashlib
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import qvm
 from qvm import Gate, GateKind, MalformedCode, deserialize, new_process, serialize
+from qvm.examples import EXAMPLES
 
 
 def bell_code():
@@ -326,3 +330,73 @@ def test_arbitrary_json_decodes_or_raises_a_qvm_error(value, path):
     except qvm.QvmError:
         return
     assert isinstance(code, qvm.QuantumCode)
+
+
+def every_kind_program(seed=29):
+    """A seeded program of every gate kind under 0, 1 and 2 controls.
+
+    The gates sit at top level and in branches nested two deep, beside an
+    ``rz(-0.0)``, a ``phase(1e-300)`` and an adjoint.
+    """
+    rng = random.Random(seed)
+    p = new_process()
+    qs = p.alloc(3) + p.alloc(1)
+
+    def gates():
+        for kind in GateKind:
+            for count in range(3):
+                target, *controls = rng.sample(qs, 1 + count)
+                angle = rng.uniform(-7, 7) if kind in qvm.ir.PARAMETRIC_KINDS else None
+                with qvm.ctrl(*controls) if controls else contextlib.nullcontext():
+                    p.apply_gate(Gate(kind, angle), target)
+
+    gates()
+    qvm.rz(-0.0, qs[0])
+    with qvm.adj(p):
+        qvm.ry(rng.uniform(-7, 7), qs[1])
+        qvm.phase(1e-300, qs[2])
+    first = p.measure(qs[:2])
+    p.dump_state([qs[3], qs[1]])
+
+    def outer():
+        gates()
+        p.branch(first, 2, gates)
+        qvm.rz(-0.0, qs[3])
+
+    p.branch(first, 1, outer)
+    p.branch(p.measure(qs[2]), 0, lambda: p.branch(first, 3, gates))
+    return p.code
+
+
+def example_code(name):
+    p = new_process()
+    EXAMPLES[name].build(p)
+    return p.code
+
+
+# sha256 of ``serialize`` output, taken before the encoder walked the
+# instructions instead of the flat ops, so key order and float text stay
+PINNED_ENCODINGS = {
+    "example-around-bell": "5622d0b41e010bb93693bbe8e85c251494ef009ec6f25446b0f6f121405fb950",
+    "example-bell": "377181f09ed9bed747028670c9a696c0d065ecb8c8952f566004b9891cabcee9",
+    "example-ctrlbell": "2de1a4a67799464656e0099b8317b6fb0ac9833d159a51b1704615457a8afadd",
+    "example-ctrlh": "dc90f6b2164e41c8ac33db5b632a8b1dddd37979692b0b8a75670020daff0656",
+    "example-grover-diffusor-demo": "29d7bdf0b88fcf6530ed86bc39c53263490270c722f29aef9e49d8acd134b46c",
+    "example-hadamard": "361824bcd0be7dc7664b47765705ae89f9d114dd11e2e351914e1e8c9ddb38b7",
+    "example-qft-demo": "d703cd5ea44ab3129bc6258e5116ac7792a2f4d25f9aac93e6faf4d9b508e661",
+    "example-teleport": "8ecd2882b4fa845797c082e8aca50cc25fac6d69f454b6748df91220b11c3fb0",
+    "example-x-gate": "f3b27eefbbdc8a8a2a3bacf18229a9ff7c31b1c5a0f612628bb0ee7810476108",
+    "every-kind": "e9570c044d63269ab83ef81ab77fc125a020b7c189e594deeb84d102778d9cbf",
+    "nested-300": "7be4105278a21b6bdb736e9fe638d425c9f5730ec5cc6b38d3affbec4fdeddd0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ENCODINGS))
+def test_encoder_bytes_are_pinned(name):
+    if name.startswith("example-"):
+        code = example_code(name.removeprefix("example-"))
+    elif name == "every-kind":
+        code = every_kind_program()
+    else:
+        code = nested_code(300)
+    assert hashlib.sha256(serialize(code)).hexdigest() == PINNED_ENCODINGS[name]

@@ -89,3 +89,50 @@ def test_the_dict_store_check_sees_each_form():
     assert _dict_stores(ast.parse(source)) == [
         ("C.f", "a"), ("C.f", "b"), ("C.f", None), ("C.f", "d"), ("C.f", "e"), ("g", None),
     ]
+
+
+def _validate_uses(tree: ast.AST):
+    """Line of each reference to a ``validate`` attribute but a bare ``x.validate()`` statement.
+
+    Such a statement runs the check and drops the ops it returns; any other
+    reference, a call whose value is used or the bound method itself, can
+    reach the ops.
+    """
+    bare = {
+        id(node.value.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "validate" and id(node) not in bare
+    ]
+
+
+def test_only_the_engine_reads_the_ops_validate_returns():
+    # the flat ops are the engine's input; every other module calls
+    # ``validate`` as a check, so a change to the ops touches ir and simulator only
+    found = [
+        f"{path.relative_to(SOURCE).as_posix()}:{line}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        if path.name not in ("ir.py", "simulator.py")
+        for line in _validate_uses(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == [], f"validate() results used in src/qvm: {', '.join(found)}"
+
+
+def test_the_validate_check_sees_each_form():
+    source = (
+        "def f(code, other):\n"
+        "    code.validate()\n"
+        "    ops = code.validate()\n"
+        "    for op in other.validate():\n"
+        "        pass\n"
+        "    check = code.validate\n"
+        "    code.validate() or other\n"
+        "    return len(code.validate())\n"
+        "validate = other.check()\n"
+        "validate()\n"
+    )
+    assert sorted(_validate_uses(ast.parse(source))) == [3, 4, 6, 7, 8]
