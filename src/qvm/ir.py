@@ -29,6 +29,7 @@ Scope rules enforced while recording:
 from __future__ import annotations
 
 import cmath
+import copy
 import functools
 import itertools
 import math
@@ -344,6 +345,11 @@ class QuantumCode:
         state = dict(self.__dict__)
         state.pop("_ops", None)
         return state
+
+    def __deepcopy__(self, memo):
+        # every field is immutable, so a shallow copy is a deep one; the
+        # generated deep copy recurses per nesting level and fails near 150
+        return copy.copy(self)
 
 
 def _is_int(value) -> bool:

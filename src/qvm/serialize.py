@@ -18,6 +18,11 @@ The decoder checks only JSON shape and ``version``; ``Gate`` and
 ``QuantumCode.validate`` check every value it puts into the dataclasses.
 ``serialize`` writes the compact layout: one line with no spaces, then a
 newline.  ``deserialize`` reads any JSON whitespace.
+
+The package re-exports ``serialize`` and ``deserialize``, and its attribute
+``qvm.serialize`` is the function, not this module: ``import qvm.serialize
+as wire`` binds the function.  ``from qvm.serialize import FORMAT_VERSION``
+and ``importlib.import_module("qvm.serialize")`` reach the module.
 """
 
 from __future__ import annotations

@@ -32,13 +32,15 @@ last, in the listed order.  Writes through the view reach the state.
   block, as it would on the whole view: an X copies the reversed pair, and
   a dense gate copies one side and writes both in place through one more
   buffer of a side.
+- ``_squared_magnitudes`` squares the magnitudes for both readouts, in the
+  one array that ``np.abs`` writes.
 - A measurement sums ``|amplitude|²`` over the view's unselected axes,
   samples an outcome, and keeps only that outcome's slice of the view.  Of
-  every qubit, it squares the magnitudes in one buffer.  It takes the
-  cumulative sum for the draw block by block.
+  every qubit, it squares the magnitudes into one new buffer, whose ravel
+  copies nothing.  It takes the cumulative sum for the draw block by block.
 - A dump checks every row of the view (one group per pattern of the
   unselected qubits) against one reference group by rank-1 residuals,
-  block by block.
+  block by block, and sums each group's squares in one place, ``per_group``.
 
 ``_blocks(array, limit)`` alone cuts the blocks of gates, dumps and the
 draw's cumulative sum, as views of at most ``limit`` elements per index of
@@ -64,13 +66,17 @@ overlaps its destination, and a dense gate a block's side and one product,
 plus numpy's iteration buffers of up to a side per strided operand.
 
     readout of k qubits    temporaries
-    measurement            S / 2 + S / 2^(n-k+1) for k < n, S / 2 + 2·B for k = n
+    measurement            max(S / 2, S / 2^k + b) + S / 2^(n-k+1) for k < n, S / 2 + 2·B for k = n
     dump                   5·S / 2^(n-k) + S / 2^(k-1) + 4·B
 
-A measurement holds the squared magnitudes, then the kept slice.  A dump
-holds four arrays of one float per group (norms, residual norms and their
-comparisons), one block of groups with its squares and residuals, and up
-to five vectors of the selection at once (the reference with its
+A measurement holds its outcomes' distribution throughout, and first the
+squared magnitudes, then the kept slice of S / 2^k.  Where that slice is
+strided in two or more dimensions (as for one middle qubit), numpy scales it
+through an iteration buffer of b = min(S / 2^k, B) (numpy 2.4.6); for any
+other slice b is 0.  So measuring one middle qubit takes about S at n = 12.
+A dump holds four arrays of one float per group (norms, residual norms and
+their comparisons), one block of groups with its squares and residuals, and
+up to five vectors of the selection at once (the reference with its
 conjugate, then with the indices and values it lists and their negation).
 Its groups are a view of the state, never written, when the qubits are one
 run in ascending order at either end of the register; otherwise each block
@@ -376,10 +382,9 @@ def measure_kernel(
     k = len(qubits)
     view = _selection(state, qubits, "measurement")
     if k < state.n:
-        probs = (np.abs(view) ** 2).sum(axis=tuple(range(state.n - k))).ravel()
-    else:  # the same squares in one buffer, which a sum over no axis would copy
-        probs = np.abs(view, out=np.empty(view.shape))
-        probs = np.square(probs, out=probs).ravel()
+        probs = _squared_magnitudes(view).sum(axis=tuple(range(state.n - k))).ravel()
+    else:  # in one C-contiguous buffer, which a sum over no axis would copy
+        probs = _squared_magnitudes(view, np.empty(view.shape)).ravel()
     total = float(probs.sum())
     if not total >= 1e-12:  # a NaN total fails too
         raise DegenerateState("state has no probability mass left")
@@ -439,16 +444,16 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     limit = max(_BLOCK << in_place, 1 << k)
     copy = np.asarray if in_place else np.ascontiguousarray
 
-    def per_group(fill):
-        """Square roots of what ``fill(groups, out)`` writes, block by block, into one array."""
+    def per_group(squares):
+        """Each group's root sum of ``squares(groups)``, block by block, in one array."""
         out, start = np.empty(1 << (state.n - k)), 0
         for block in _blocks(view[None], limit):
             g = copy(block).reshape(-1, 1 << k)
-            fill(g, out[start : start + len(g)])
+            squares(g).sum(axis=1, out=out[start : start + len(g)])
             start += len(g)
         return np.sqrt(out, out=out)
 
-    norms = per_group(lambda g, out: _squared_magnitudes(g).sum(axis=1, out=out))
+    norms = per_group(_squared_magnitudes)
     largest = norms.max()
     if not largest > 0:  # a NaN fails too
         raise DegenerateState("state has no probability mass left")
@@ -458,7 +463,7 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     row = view[np.unravel_index(dominant, view.shape[: state.n - k])]
     reference = row.ravel() / norms[dominant]
     conjugate = reference.conj()
-    residual_norms = per_group(lambda g, out: _residual_squares(g, reference, conjugate, out))
+    residual_norms = per_group(lambda g: _residual_squares(g, reference, conjugate))
     if np.any((norms > 1e-9) & (residual_norms > 1e-9 * norms)):
         raise EntangledSelection(f"qubits {qubits} are entangled with the rest of the state")
     significant = np.flatnonzero(np.abs(reference) > DUST)
@@ -469,18 +474,28 @@ def extract_dump(state: StateVector, qubits: Sequence[int]) -> DumpData:
     return DumpData(qubits, tuple(zip(significant.tolist(), vector.tolist())))
 
 
-def _squared_magnitudes(groups: np.ndarray) -> np.ndarray:
-    """``np.abs(groups) ** 2``, bit for bit, squared in the buffer that ``np.abs`` returns."""
-    magnitudes = np.abs(groups)
-    return np.square(magnitudes, out=magnitudes)
+def _squared_magnitudes(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.abs(values) ** 2``, bit for bit, in one array: ``out`` if given, else a new one.
+
+    The magnitudes are squared in place, so no second array is made, even
+    below the size from which numpy elides the temporary of ``** 2``.  The
+    square runs on a flat view in memory order: in place on the permuted
+    axes of a measurement's view, numpy takes a slower loop than ``** 2``
+    (about 0.5 µs more at 2^8 amplitudes).  So ``out`` must be one dense
+    buffer, as ``np.empty`` makes.
+    """
+    magnitudes = np.abs(values, out=out)
+    flat = magnitudes.ravel("K")  # a view of the one dense buffer
+    np.square(flat, out=flat)
+    return magnitudes
 
 
-def _residual_squares(
-    groups: np.ndarray, reference: np.ndarray, conjugate: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Squared norm of each group less its projection onto ``reference``, written to ``out``.
+def _residual_squares(groups: np.ndarray, reference: np.ndarray, conjugate: np.ndarray) -> np.ndarray:
+    """Squared parts of each group less its projection onto ``reference``, one group a row.
 
-    ``conjugate`` is the reference conjugated.
+    ``conjugate`` is the reference conjugated.  Each row holds the squared
+    real and imaginary parts of a group's residual, so its sum is the
+    squared residual norm.
     """
     # one C-contiguous buffer (so it has a float view) holds the projections
     # of the groups onto the reference, then the residuals; numpy sums them,
@@ -489,8 +504,7 @@ def _residual_squares(
     np.multiply.outer(residual.sum(axis=1), reference, out=residual)
     np.subtract(groups, residual, out=residual)
     squares = residual.view(float)
-    np.square(squares, out=squares)
-    return squares.sum(axis=1, out=out)
+    return np.square(squares, out=squares)
 
 
 def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:

@@ -1,7 +1,9 @@
 """Wire-format round trips and rejection of malformed documents."""
 
 import contextlib
+import copy
 import hashlib
+import importlib
 import json
 import math
 import random
@@ -238,6 +240,23 @@ def test_deep_nesting_is_malformed_on_encode_and_shallower_round_trips():
     # compared as bytes; ``==`` holds at this depth too, as it walks nested blocks in a loop
     data = serialize(nested_code(300))
     assert serialize(deserialize(data)) == data
+
+
+def test_deep_copy_accepts_max_depth():
+    code = nested_code(qvm.ir.MAX_DEPTH)
+    code.validate()
+    twin = copy.deepcopy(code)
+    assert twin == code and twin is not code
+    assert "_ops" not in vars(twin)
+
+
+def test_module_is_reached_by_import_module_and_from_import():
+    # the package attribute ``qvm.serialize`` is the function, not the module
+    wire = importlib.import_module("qvm.serialize")
+    assert wire.deserialize is qvm.deserialize and wire.serialize is qvm.serialize
+    from qvm.serialize import FORMAT_VERSION
+
+    assert FORMAT_VERSION == wire.FORMAT_VERSION == 1
 
 
 def measured_nested_code(depth, first):

@@ -897,6 +897,39 @@ class TestExtractDump:
                 tracemalloc.stop()
             assert peak - after <= bound, (name, peak - after, bound)
 
+    @pytest.mark.parametrize(
+        "qubits, strided",
+        [
+            ((0,), False),
+            ((11,), False),
+            ((0, 1, 2), False),
+            ((9, 10, 11), False),
+            ((5, 6, 7), True),
+            ((6,), True),
+        ],
+        ids=["k1", "k1-last", "k3", "k3-last", "k3-middle", "k1-middle"],
+    )
+    def test_measurement_allocates_at_most_the_docstring_bound_below_numpy_elision(
+        self, qubits, strided
+    ):
+        # the module docstring's measurement row, in S = 16·2^n bytes, at
+        # n = 12, where the squares take S / 2 = 32 KiB, below the 256 KiB
+        # from which numpy elides the temporary of ``np.abs(view) ** 2``; b is
+        # numpy's iteration buffer for a kept slice strided in two dimensions
+        n, k = 12, len(qubits)
+        state_bytes, block = 16 << n, 16 * qvm.simulator._BLOCK
+        b = strided * min(2.0**-k, block / state_bytes)
+        bound = max(0.5, 2.0**-k + b) + 2.0 ** (k - n - 1)
+        state = StateVector(n, kron_all(product_factors(np.random.default_rng(k), n)).ravel())
+        tracemalloc.start()
+        try:
+            measure_kernel(state, qubits, Xoshiro256StarStar(k))
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        used = (peak - after) / state_bytes
+        assert used <= bound + 0.15, used
+
 
 def unblocked_measure(state, qubits, u):
     """``measure_kernel`` as it was before its wide-state path ran in blocks."""
