@@ -6,7 +6,7 @@ The bundled engine simulates up to roughly twenty qubits and is fully
 deterministic for a given seed.  Validation rejects a program that allocates
 more than ``ir.MAX_QUBITS`` (24) qubits with MalformedCode, before any state
 is allocated: a 24-qubit state alone takes 256 MiB.  It likewise rejects
-conditioned blocks nested more than ``ir.MAX_DEPTH`` (300) deep.
+conditioned blocks nested more than ``ir.MAX_DEPTH`` (100) deep.
 
 The package attribute ``qvm.serialize`` is the function, which shadows the
 submodule of that name, so ``import qvm.serialize as wire`` binds the

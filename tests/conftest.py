@@ -1,9 +1,13 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+# oracles.py is no test module, so without this its asserts would be plain
+# ones, which ``python -O`` compiles away
+pytest.register_assert_rewrite("oracles")
 
 settings.register_profile(
     "default",

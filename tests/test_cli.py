@@ -467,8 +467,16 @@ class TestHostileInput:
         ]
         self.assert_one_error_line(*self.run_document(tmp_path, capsys, instructions, 1))
 
-    def test_branch_nested_too_deeply_exits_one(self, tmp_path, capsys):
-        depth = 1000
+    @pytest.mark.parametrize(
+        "depth, message",
+        [
+            # one past validate's limit, and deeper than the decoder can recurse
+            (qvm.ir.MAX_DEPTH + 1, f"conditioned blocks nested too deeply (limit {qvm.ir.MAX_DEPTH})"),
+            (1000, "document is nested too deeply"),
+        ],
+        ids=["max-depth-plus-one", "1000"],
+    )
+    def test_branch_nested_too_deeply_exits_one(self, tmp_path, capsys, depth, message):
         branch = '{"op": "branch", "future": 0, "equals": 0, "body": ['
         gate = '{"op": "gate", "kind": "x", "target": 0, "controls": []}'
         path = tmp_path / "program.json"
@@ -478,7 +486,9 @@ class TestHostileInput:
             ' {"op": "measure", "qubits": [0], "future": 0}, '
             + branch * depth + gate + "]}" * depth + "]}"
         )
-        self.assert_one_error_line(*run_cli(capsys, "run-ir", str(path)))
+        status, out, err = run_cli(capsys, "run-ir", str(path))
+        self.assert_one_error_line(status, out, err)
+        assert message in err
 
     def test_every_value_of_the_wrong_type_decodes_or_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "program.json"

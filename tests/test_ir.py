@@ -905,6 +905,32 @@ class TestBranch:
         p.branch(fa, 1, body)
         assert p.measure([c]).value == 1
 
+    def test_branches_nest_max_depth_deep_and_no_deeper(self):
+        p = new_process()
+        (a,) = p.alloc(1)
+        qvm.x(a)
+        f = p.measure([a])
+        open_scopes = []  # scopes open as each body starts
+
+        def nest(levels):
+            open_scopes.append(len(p._scopes))
+            if levels:
+                p.branch(f, 1, lambda: nest(levels - 1))
+            else:
+                qvm.x(a)
+
+        nest(qvm.ir.MAX_DEPTH)
+        recorded = p.code.instructions
+        open_scopes.clear()
+        limit = rf"^conditioned blocks nested too deeply \(limit {qvm.ir.MAX_DEPTH}\)$"
+        with pytest.raises(ScopeViolation, match=limit):
+            nest(qvm.ir.MAX_DEPTH + 1)
+        # the body MAX_DEPTH deep ran, and its branch call raised
+        assert open_scopes == list(range(qvm.ir.MAX_DEPTH + 1))
+        assert p.code.instructions == recorded
+        assert p._scopes == []
+        assert p.measure([a]).value == 0  # the innermost X ran
+
 
 class TestInvariantProperties:
     @given(st.data())

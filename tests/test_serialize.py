@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -237,8 +238,9 @@ def nested_code(depth, gate=Gate(GateKind.PAULI_X)):
 def test_deep_nesting_is_malformed_on_encode_and_shallower_round_trips():
     with pytest.raises(MalformedCode, match="nested too deeply"):
         serialize(nested_code(600))
-    # compared as bytes; ``==`` holds at this depth too, as it walks nested blocks in a loop
-    data = serialize(nested_code(300))
+    # compared as bytes; the generated ``==`` holds at this depth too, as
+    # test_every_walker_accepts_max_depth checks
+    data = serialize(nested_code(qvm.ir.MAX_DEPTH))
     assert serialize(deserialize(data)) == data
 
 
@@ -288,7 +290,7 @@ def nested_document(depth):
     return head + branch * depth + gate + "]}" * depth + "]}"
 
 
-@pytest.mark.parametrize("frames", [0, 200])
+@pytest.mark.parametrize("frames", [0, 200, 400])
 def test_every_walker_accepts_max_depth(frames):
     depth = qvm.ir.MAX_DEPTH
     code = nested_code(depth)
@@ -300,6 +302,10 @@ def test_every_walker_accepts_max_depth(frames):
             assert result.futures == {0: first, 1: 1}
         assert code == nested_code(depth)
         assert code != nested_code(depth, Gate(GateKind.PAULI_Z))
+        assert hash(code) == hash(nested_code(depth))
+        assert repr(code).count("Branch(") == depth
+        assert pickle.loads(pickle.dumps(code)) == code
+        assert copy.deepcopy(code) == code
         assert deserialize(serialize(code)) == code
         assert deserialize(nested_document(depth)) == code
 
@@ -394,7 +400,8 @@ def example_code(name):
 
 
 # sha256 of ``serialize`` output, taken before the encoder walked the
-# instructions instead of the flat ops, so key order and float text stay
+# instructions instead of the flat ops, so key order and float text stay;
+# nested-max-depth's was taken at depth 100 while the limit was still 300
 PINNED_ENCODINGS = {
     "example-around-bell": "5622d0b41e010bb93693bbe8e85c251494ef009ec6f25446b0f6f121405fb950",
     "example-bell": "377181f09ed9bed747028670c9a696c0d065ecb8c8952f566004b9891cabcee9",
@@ -406,7 +413,7 @@ PINNED_ENCODINGS = {
     "example-teleport": "8ecd2882b4fa845797c082e8aca50cc25fac6d69f454b6748df91220b11c3fb0",
     "example-x-gate": "f3b27eefbbdc8a8a2a3bacf18229a9ff7c31b1c5a0f612628bb0ee7810476108",
     "every-kind": "e9570c044d63269ab83ef81ab77fc125a020b7c189e594deeb84d102778d9cbf",
-    "nested-300": "7be4105278a21b6bdb736e9fe638d425c9f5730ec5cc6b38d3affbec4fdeddd0",
+    "nested-max-depth": "31960bc8099d6147aed3e1072b08e3c6b5bd96fa1e0f74ea20a03e641b7f5d21",
 }
 
 
@@ -417,5 +424,5 @@ def test_encoder_bytes_are_pinned(name):
     elif name == "every-kind":
         code = every_kind_program()
     else:
-        code = nested_code(300)
+        code = nested_code(qvm.ir.MAX_DEPTH)
     assert hashlib.sha256(serialize(code)).hexdigest() == PINNED_ENCODINGS[name]
