@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import copy
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -89,13 +88,11 @@ def short_repr(value) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
 
-# Equal gates have equal matrices, so the cache cannot change a result.  Angles
-# of +0.0 and -0.0 compare equal and share an entry; the two matrices differ
-# at most in the signs of zeros, and both are the identity, which the
-# diagonal path of ``simulator.apply_kernel`` skips.
-@functools.lru_cache(maxsize=1024)
+# Built on each gate cache miss.  Angles of +0.0 and -0.0 have keys of their
+# own, so each keeps its matrix: both are the identity, differing at most in
+# the signs of zeros, which the diagonal path of ``simulator.apply_kernel`` skips.
 def _unitary(kind: GateKind, t: float | None) -> np.ndarray:
-    """2x2 unitary of a gate kind and angle, cached and shared, so it is read-only."""
+    """2x2 unitary of a gate kind and angle, read-only, as the gate cache shares it."""
     if kind is GateKind.PAULI_X:
         rows = [[0, 1], [1, 0]]
     elif kind is GateKind.PAULI_Y:
@@ -125,11 +122,14 @@ class Gate:
     """A single-qubit gate; rotation and phase kinds carry an angle in radians.
 
     ``kind`` may also be given by name, such as "rx"; an unknown name raises ValueError.
-    ``matrix`` is the gate's 2x2 unitary, shared read-only by every equal gate
-    and left out of equality, ``repr`` and pickling, which rebuilds a gate from
-    its kind and angle.  RX(θ) = [[cos θ/2, -i sin θ/2], [-i sin θ/2, cos θ/2]],
-    RY(θ) = [[cos θ/2, -sin θ/2], [sin θ/2, cos θ/2]], Phase(λ) = diag(1, e^{iλ})
-    and RZ(θ) = diag(e^{-iθ/2}, e^{iθ/2}); an inverse's is the conjugate transpose.
+    ``matrix`` is the gate's 2x2 unitary, read-only and left out of equality,
+    ``repr`` and pickling, which rebuilds a gate from its kind and angle.  Each
+    gate takes it from the gate cache (see ``shared_gate``), so equal gates
+    share one matrix; an angle of -0.0 keeps its own, as -0.0 == 0.0 but the
+    two matrices differ in the signs of zeros.  RX(θ) = [[cos θ/2, -i sin θ/2],
+    [-i sin θ/2, cos θ/2]], RY(θ) = [[cos θ/2, -sin θ/2], [sin θ/2, cos θ/2]],
+    Phase(λ) = diag(1, e^{iλ}) and RZ(θ) = diag(e^{-iθ/2}, e^{iθ/2}); an
+    inverse's is the conjugate transpose.
     """
 
     kind: GateKind
@@ -155,7 +155,14 @@ class Gate:
             object.__setattr__(self, "angle", float(self.angle))
         elif self.angle is not None:
             raise ValueError(f"gate {self.kind.value!r} takes no angle")
-        object.__setattr__(self, "matrix", _unitary(self.kind, self.angle))
+        key = _gate_key(self.kind, self.angle)
+        shared = _gates.get(key)
+        if shared is None:
+            object.__setattr__(self, "matrix", _unitary(self.kind, self.angle))
+            if len(_gates) >= _GATE_CACHE_SIZE:
+                _gates.clear()
+            shared = _gates.setdefault(key, self)  # a thread that stored it first wins
+        object.__setattr__(self, "matrix", shared.matrix)
 
     def __reduce__(self):
         return self.__class__, (self.kind, self.angle)
@@ -163,8 +170,36 @@ class Gate:
     def inverse(self) -> "Gate":
         # X, Y, Z, H are self-inverse; parametric gates invert by negating the angle.
         if self.kind in PARAMETRIC_KINDS:
-            return Gate(self.kind, -self.angle)
+            return shared_gate(self.kind, -self.angle)
         return self
+
+
+# Most gates the gate cache holds; a miss on a full cache empties it first.
+_GATE_CACHE_SIZE = 1024
+# The gate cache: the first gate built of each key, whose matrix every equal
+# gate takes.  A GateKind hashes and compares as its value does, so a kind
+# given by name, such as "rx", finds the gate built from the member.
+_gates: dict[tuple, Gate] = {}
+
+
+def _gate_key(kind, angle) -> tuple:
+    # -0.0 == 0.0 with one hash, so the sign keeps rz(-0.0) apart.  A stored
+    # key ends in None only with no angle, so an angle that is no float, such
+    # as True, which == 1.0 with one hash, finds no stored gate
+    return kind, angle, math.copysign(1.0, angle) if angle.__class__ is float else None
+
+
+def shared_gate(kind, angle=None) -> Gate:
+    """``Gate(kind, angle)``, shared: a float angle or none finds the gate built before.
+
+    A hit returns the stored gate without building or checking one; a miss,
+    or any other angle, builds ``Gate(kind, angle)``, which raises as ever.
+    """
+    try:
+        shared = _gates.get(_gate_key(kind, angle))
+    except TypeError:  # an unhashable kind or angle, which ``Gate`` rejects
+        shared = None
+    return Gate(kind, angle) if shared is None else shared
 
 
 @dataclass(frozen=True)
@@ -350,9 +385,10 @@ def _check_type(value, kind: type, what: str) -> None:
 
 def _check_indices(qubits: Sequence[int], allocated: int, what: str) -> None:
     for q in qubits:
-        if not _is_int(q) or not 0 <= q < allocated:
+        # the class test first keeps the common plain int off isinstance
+        if not ((q.__class__ is int or _is_int(q)) and 0 <= q < allocated):
             raise MalformedCode(f"{what} references qubit {short_repr(q)}, only {allocated} allocated")
-    if len(set(qubits)) != len(qubits):
+    if len(qubits) > 1 and len(set(qubits)) != len(qubits):
         raise MalformedCode(f"{what} lists a qubit more than once")
 
 

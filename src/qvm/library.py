@@ -20,6 +20,7 @@ from .ir import (
     adj,
     around,
     ctrl,
+    shared_gate,
 )
 
 PAULI_X = Gate(GateKind.PAULI_X)
@@ -47,20 +48,20 @@ def h(q: QubitHandle) -> QubitHandle:
 
 
 def rx(theta: float, q: QubitHandle) -> QubitHandle:
-    return q.process.apply_gate(Gate(GateKind.RX, theta), q)
+    return q.process.apply_gate(shared_gate(GateKind.RX, theta), q)
 
 
 def ry(theta: float, q: QubitHandle) -> QubitHandle:
-    return q.process.apply_gate(Gate(GateKind.RY, theta), q)
+    return q.process.apply_gate(shared_gate(GateKind.RY, theta), q)
 
 
 def rz(theta: float, q: QubitHandle) -> QubitHandle:
-    return q.process.apply_gate(Gate(GateKind.RZ, theta), q)
+    return q.process.apply_gate(shared_gate(GateKind.RZ, theta), q)
 
 
 def phase(lam: float, q: QubitHandle) -> QubitHandle:
     """Add a relative phase e^{iλ} to the |1⟩ component."""
-    return q.process.apply_gate(Gate(GateKind.PHASE, lam), q)
+    return q.process.apply_gate(shared_gate(GateKind.PHASE, lam), q)
 
 
 def cnot(control: QubitHandle, target: QubitHandle) -> tuple[QubitHandle, QubitHandle]:

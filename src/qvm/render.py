@@ -87,16 +87,24 @@ def show(data: DumpData, spec: FormatSpec | str = "") -> str:
             f"format covers {sum(l for _, l in groups)} qubits, snapshot has {total}"
         )
     lines: list[str] = []
+    width = f"0{total}b"
+    # one ket of every qubit needs no split; a hand-made snapshot of no
+    # qubits keeps the split's empty ket, where format would give "0"
+    whole = len(groups) == 1 and total > 0
     for basis, amp in data.basis_states:
-        bits = format(basis, f"0{total}b")
-        kets = []
-        pos = 0
-        for base, length in groups:
-            chunk = bits[pos : pos + length]
-            pos += length
-            kets.append(f"|{chunk}⟩" if base == "b" else f"|{int(chunk, 2)}⟩")
+        if whole:
+            kets = f"|{basis:{width}}⟩" if groups[0][0] == "b" else f"|{basis}⟩"
+        else:
+            bits = format(basis, width)
+            chunks = []
+            pos = 0
+            for base, length in groups:
+                chunk = bits[pos : pos + length]
+                pos += length
+                chunks.append(f"|{chunk}⟩" if base == "b" else f"|{int(chunk, 2)}⟩")
+            kets = "".join(chunks)
         probability = abs(amp) ** 2 * 100.0
-        lines.append(f"{''.join(kets)} ({probability:.2f}%)")
+        lines.append(f"{kets} ({probability:.2f}%)")
         real = amp.real + 0.0  # avoid "-0.000000"
         text = f" {real:.6f}"
         imag = amp.imag

@@ -14,8 +14,11 @@ format is the contract between the command line, the builder, and the engine.
 The encoder writes each instruction dataclass of a validated code as one
 object, the decoder reads each object back into its dataclass, and neither
 reads the flat ops that ``QuantumCode.validate`` returns for the engine.
-The decoder checks only JSON shape and ``version``; ``Gate`` and
-``QuantumCode.validate`` check every value it puts into the dataclasses.
+The decoder looks up each object's ``op`` in one table of builders, and
+takes each gate from the gate cache (``ir.shared_gate``), so equal gates
+decoded while their entry stays cached are one object.  It checks only JSON
+shape and ``version``; ``Gate`` and ``QuantumCode.validate`` check every
+value it puts into the dataclasses.
 ``serialize`` writes the compact layout: one line with no spaces, then a
 newline.  ``deserialize`` reads any JSON whitespace.
 
@@ -36,12 +39,12 @@ from .ir import (
     Branch,
     Condition,
     Dump,
-    Gate,
     GateApp,
     Instruction,
     Measure,
     QuantumCode,
     short_repr,
+    shared_gate,
 )
 
 FORMAT_VERSION = 1
@@ -102,32 +105,46 @@ def _array(obj: dict, key: str) -> tuple:
     return tuple(value)
 
 
+def _decode_gate(obj: dict) -> GateApp:
+    angle = obj.get("angle")
+    if "angle" in obj and angle.__class__ not in (int, float):  # null too is a wrong type
+        raise MalformedCode(f"field 'angle' has wrong type: {short_repr(angle)}")
+    try:
+        gate = shared_gate(_need(obj, "kind"), angle)  # Gate judges the kind and the angle
+    except ValueError as exc:
+        raise MalformedCode(str(exc)) from None
+    return GateApp(gate, _need(obj, "target"), _array(obj, "controls"))
+
+
+def _decode_branch(obj: dict) -> Branch:
+    return Branch(
+        Condition(_need(obj, "future"), _need(obj, "equals")),
+        tuple(map(_decode_instruction, _array(obj, "body"))),
+    )
+
+
+# the dataclass each ``op`` names, built from the object's fields
+_DECODERS = {
+    "gate": _decode_gate,
+    "alloc": lambda obj: Alloc(_need(obj, "count")),
+    "measure": lambda obj: Measure(_array(obj, "qubits"), _need(obj, "future")),
+    "dump": lambda obj: Dump(_array(obj, "qubits"), _need(obj, "dump")),
+    "branch": _decode_branch,
+}
+
+
 def _decode_instruction(obj: Any) -> Instruction:
     """Map one instruction object onto its dataclass, checking JSON shape only."""
     if not isinstance(obj, dict):
         raise MalformedCode(f"instruction must be an object, got {short_repr(obj)}")
     op = _need(obj, "op")
-    if op == "alloc":
-        return Alloc(_need(obj, "count"))
-    if op == "gate":
-        angle = obj.get("angle")
-        if "angle" in obj and angle.__class__ not in (int, float):  # null too is a wrong type
-            raise MalformedCode(f"field 'angle' has wrong type: {short_repr(angle)}")
-        try:
-            gate = Gate(_need(obj, "kind"), angle)  # Gate judges the kind and the angle
-        except ValueError as exc:
-            raise MalformedCode(str(exc)) from None
-        return GateApp(gate, _need(obj, "target"), _array(obj, "controls"))
-    if op == "measure":
-        return Measure(_array(obj, "qubits"), _need(obj, "future"))
-    if op == "dump":
-        return Dump(_array(obj, "qubits"), _need(obj, "dump"))
-    if op == "branch":
-        return Branch(
-            Condition(_need(obj, "future"), _need(obj, "equals")),
-            tuple(_decode_instruction(i) for i in _array(obj, "body")),
-        )
-    raise MalformedCode(f"unknown op {short_repr(op)}")
+    try:
+        decode = _DECODERS.get(op)
+    except TypeError:  # an unhashable op, such as a list
+        decode = None
+    if decode is None:
+        raise MalformedCode(f"unknown op {short_repr(op)}")
+    return decode(obj)
 
 
 def deserialize(data: bytes | str) -> QuantumCode:
@@ -154,7 +171,7 @@ def _decode_document(data: bytes | str) -> QuantumCode:
         raise MalformedCode(f"unsupported version {short_repr(version)}")
     code = QuantumCode(
         num_qubits=_need(doc, "num_qubits"),
-        instructions=tuple(_decode_instruction(i) for i in _array(doc, "instructions")),
+        instructions=tuple(map(_decode_instruction, _array(doc, "instructions"))),
         num_futures=_need(doc, "num_futures"),
         num_dumps=_need(doc, "num_dumps"),
     )

@@ -175,6 +175,11 @@ class TestShow:
         data = DumpData((0, 1), ((1, 1 + 0j),))
         assert show(data, "i1:i1") == "|0⟩|1⟩ (100.00%)\n 1.000000\t≅\t1/√1"
 
+    def test_one_binary_or_decimal_group_of_every_qubit(self):
+        data = DumpData((0, 1, 2), tuple((basis, complex(0.5)) for basis in (0, 2, 5, 7)))
+        for spec, kets in [("b3", ["000", "010", "101", "111"]), ("i3", ["0", "2", "5", "7"])]:
+            assert show(data, spec).split("\n")[::2] == [f"|{ket}⟩ (25.00%)" for ket in kets]
+
     def test_quarter_probability_states(self):
         data = DumpData(
             (0, 1, 2),

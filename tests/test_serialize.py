@@ -10,7 +10,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import qvm
 from qvm import Gate, GateKind, MalformedCode, deserialize, new_process, serialize
@@ -337,10 +337,16 @@ SPLICE_PATHS = [
     (),
     *[(key,) for key in ("version", "num_qubits", "num_futures", "num_dumps", "instructions")],
     *[("instructions", i) for i in range(6)],  # bell_code records six instructions
+    # fields of its two gates and of its first measure
+    *[("instructions", i, field) for i in (1, 2) for field in ("op", "kind", "angle", "target", "controls")],
+    ("instructions", 4, "qubits"),
 ]
 
 
 @given(json_values, st.sampled_from(SPLICE_PATHS))
+# an unhashable op or kind, which a lookup by key must not let out as a TypeError
+@example([], ("instructions", 1, "op"))
+@example({}, ("instructions", 2, "kind"))
 def test_arbitrary_json_decodes_or_raises_a_qvm_error(value, path):
     """Alone, or spliced into a valid document at ``path``."""
     doc = value
@@ -393,6 +399,15 @@ def every_kind_program(seed=29):
     return p.code
 
 
+def signed_zeros_code():
+    """rz(-0.0), then rz(0.0) on the same qubit: equal gates that encode apart."""
+    p = new_process()
+    (q,) = p.alloc(1)
+    qvm.rz(-0.0, q)
+    qvm.rz(0.0, q)
+    return p.code
+
+
 def example_code(name):
     p = new_process()
     EXAMPLES[name].build(p)
@@ -414,6 +429,7 @@ PINNED_ENCODINGS = {
     "example-x-gate": "f3b27eefbbdc8a8a2a3bacf18229a9ff7c31b1c5a0f612628bb0ee7810476108",
     "every-kind": "e9570c044d63269ab83ef81ab77fc125a020b7c189e594deeb84d102778d9cbf",
     "nested-max-depth": "31960bc8099d6147aed3e1072b08e3c6b5bd96fa1e0f74ea20a03e641b7f5d21",
+    "signed-zeros": "05db3e00a191337871b857e155b64b50e90adea4f542ad90a29e8e1583cfb4bb",
 }
 
 
@@ -423,6 +439,44 @@ def test_encoder_bytes_are_pinned(name):
         code = example_code(name.removeprefix("example-"))
     elif name == "every-kind":
         code = every_kind_program()
+    elif name == "signed-zeros":
+        code = signed_zeros_code()
     else:
         code = nested_code(qvm.ir.MAX_DEPTH)
-    assert hashlib.sha256(serialize(code)).hexdigest() == PINNED_ENCODINGS[name]
+    data = serialize(code)
+    assert hashlib.sha256(data).hexdigest() == PINNED_ENCODINGS[name]
+    assert serialize(deserialize(data)) == data  # the decoder's gates encode as the recorded ones
+
+
+def gates_of(instructions):
+    """Every gate of a program, branch bodies included, in program order."""
+    for ins in instructions:
+        if isinstance(ins, qvm.Branch):
+            yield from gates_of(ins.body)
+        elif isinstance(ins, qvm.GateApp):
+            yield ins.gate
+
+
+def test_gates_are_shared_by_kind_angle_and_sign_within_the_cache_bound():
+    cache, bound = qvm.ir._gates, qvm.ir._GATE_CACHE_SIZE
+    cache.clear()  # so no earlier test fills it and empties it between the two decodes
+    data = serialize(every_kind_program())
+    first, second = deserialize(data), deserialize(data)
+    pairs = list(zip(gates_of(first.instructions), gates_of(second.instructions), strict=True))
+    assert len(pairs) == 100 and all(a is b for a, b in pairs)
+
+    negative, positive = gates_of(signed_zeros_code().instructions)
+    assert positive is not negative and positive.matrix is not negative.matrix
+    assert math.copysign(1.0, positive.angle) > 0 > math.copysign(1.0, negative.angle)
+
+    p = new_process()
+    (q,) = p.alloc(1)
+    qvm.rx(1.0, q)  # True == 1.0, and both hash alike
+    with pytest.raises(TypeError):
+        qvm.rx(True, q)
+    for i in range(bound + 10):
+        qvm.phase(i / bound, q)
+    assert len(cache) <= bound
+    code = p.code
+    assert len(set(map(id, gates_of(code.instructions)))) == bound + 11
+    assert deserialize(serialize(code)) == code
