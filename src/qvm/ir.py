@@ -71,11 +71,12 @@ PARAMETRIC_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.PH
 MAX_QUBITS = 24
 
 # Most conditioned blocks a program may nest, checked in ``QuantumCode.validate``
-# and by ``Process.branch``.  The generated ``==``, ``hash`` and ``repr``, pickling
-# and the JSON encoder and decoder recurse a few frames per level; at 100 levels,
-# on Python 3.11 with the default recursion limit of 1000, ``==``, ``repr`` and a
-# pickle round trip hold from a caller up to about 580 frames deep, and
-# ``serialize``, ``deserialize`` and ``hash`` up to about 790.
+# and by ``Process.branch``.  ``validate`` recurses one frame per level, and the
+# generated ``==``, ``hash`` and ``repr``, pickling and the JSON encoder and
+# decoder a few; at 100 levels, on Python 3.11 with the default recursion limit
+# of 1000, ``==``, ``repr`` and a pickle round trip hold from a caller up to
+# about 580 frames deep, ``serialize``, ``deserialize`` and ``hash`` up to about
+# 790, and ``validate`` up to about 890.
 MAX_DEPTH = 100
 
 
@@ -271,6 +272,10 @@ class QuantumCode:
         (future, literal, index of the first op past its body, which follows
         it).  Each field is read once, and the ops hold the values checked.
 
+        A branch's body is checked by recursion, one call of ``_check_block``
+        per level.  The depth is checked before each descent, so a code nested
+        past ``MAX_DEPTH`` raises MalformedCode, never RecursionError.
+
         A code that passes cannot change, so it remembers its ops and later
         calls return them at once; a failed check is never remembered.
         """
@@ -283,72 +288,10 @@ class QuantumCode:
             raise MalformedCode("header counts must be integers")
         instructions = self.instructions
         _check_type(instructions, tuple, "program instructions")
-        allocated = 0
         futures: set[int] = set()
         dumps: set[int] = set()
         ops = []
-        append = ops.append
-        blocks = [iter(instructions)]
-        branches = []  # (index of its op, future, literal, instruction) of each open branch
-        while blocks:
-            for ins in blocks[-1]:
-                kind = type(ins)
-                if kind is GateApp:  # first: most instructions are gates
-                    gate, target, controls = ins.gate, ins.target, ins.controls
-                    if type(gate) is not Gate:
-                        raise MalformedCode("gate application without a gate")
-                    if type(controls) is not tuple:  # inline, as this runs per gate
-                        _check_type(controls, tuple, "gate controls")
-                    _check_indices((target, *controls), allocated, "gate")
-                    append((GateApp, gate, target, controls, ins))
-                elif kind is Alloc:
-                    if len(blocks) > 1:
-                        raise MalformedCode("allocation inside a conditioned block")
-                    count = ins.count
-                    if not _is_int(count) or count < 1:
-                        raise MalformedCode(f"allocation count must be >= 1, got {short_repr(count)}")
-                    allocated += count
-                    if allocated > MAX_QUBITS:
-                        raise MalformedCode(
-                            f"program allocates {short_repr(allocated)} qubits, more than the limit of {MAX_QUBITS}"
-                        )
-                    append((Alloc, count, None, None, ins))
-                elif kind is Measure:
-                    if len(blocks) > 1:
-                        raise MalformedCode("measurement inside a conditioned block")
-                    qubits, future = ins.qubits, ins.future
-                    _check_readout(qubits, allocated, "measure", future, "future", futures)
-                    append((Measure, qubits, future, None, ins))
-                elif kind is Dump:
-                    if len(blocks) > 1:
-                        raise MalformedCode("dump inside a conditioned block")
-                    qubits, dump = ins.qubits, ins.dump
-                    _check_readout(qubits, allocated, "dump", dump, "dump", dumps)
-                    append((Dump, qubits, dump, None, ins))
-                elif kind is Branch:
-                    condition, body = ins.condition, ins.body
-                    _check_type(condition, Condition, "branch condition")
-                    _check_type(body, tuple, "branch body")
-                    future, equals = condition.future, condition.equals
-                    if not (_is_int(future) and _is_int(equals)):
-                        raise MalformedCode(f"condition must hold integers, got {short_repr(condition)}")
-                    if future not in futures:
-                        raise MalformedCode(f"condition on future {short_repr(future)} with no prior measure")
-                    if equals < 0:
-                        raise MalformedCode("condition literal must be non-negative")
-                    if len(blocks) > MAX_DEPTH:
-                        raise MalformedCode(f"conditioned blocks nested too deeply (limit {MAX_DEPTH})")
-                    branches.append((len(ops), future, equals, ins))
-                    append(None)  # the branch's op, written when its body ends
-                    blocks.append(iter(body))
-                    break
-                else:
-                    raise MalformedCode(f"unknown instruction {short_repr(ins)}")
-            else:
-                blocks.pop()
-                if branches:
-                    at, future, equals, ins = branches.pop()
-                    ops[at] = (Branch, future, equals, len(ops), ins)
+        allocated = _check_block(instructions, 0, 0, futures, dumps, ops)
         if allocated != num_qubits:
             raise MalformedCode(f"program allocates {allocated} qubits, header says {short_repr(num_qubits)}")
         # lengths first, so a hostile header count builds no huge range
@@ -374,8 +317,79 @@ class QuantumCode:
         return copy.copy(self)
 
 
+def _check_block(block, depth: int, allocated: int, futures: set, dumps: set, ops: list) -> int:
+    """Check one block's instructions in order, append their ops, and return the qubits allocated.
+
+    A branch's body is checked by a call at ``depth + 1``, made only once the
+    depth is known to be below ``MAX_DEPTH``, so a hostile nesting raises
+    MalformedCode and never RecursionError.  A body cannot allocate, so that
+    call's return is ignored.  Module-level, not a closure in ``validate``: a
+    closure that calls itself is a reference cycle, left for the collector.
+    """
+    for ins in block:
+        kind = type(ins)
+        if kind is GateApp:  # first: most instructions are gates
+            gate, target, controls = ins.gate, ins.target, ins.controls
+            if type(gate) is not Gate:
+                raise MalformedCode("gate application without a gate")
+            if type(controls) is not tuple:  # inline, as this runs per gate
+                _check_type(controls, tuple, "gate controls")
+            _check_indices((target, *controls), allocated, "gate")
+            ops.append((GateApp, gate, target, controls, ins))
+        elif kind is Alloc:
+            if depth:
+                raise MalformedCode("allocation inside a conditioned block")
+            count = ins.count
+            if not _is_int(count) or count < 1:
+                raise MalformedCode(f"allocation count must be >= 1, got {short_repr(count)}")
+            allocated += count
+            if allocated > MAX_QUBITS:
+                raise MalformedCode(
+                    f"program allocates {short_repr(allocated)} qubits, more than the limit of {MAX_QUBITS}"
+                )
+            ops.append((Alloc, count, None, None, ins))
+        elif kind is Measure:
+            if depth:
+                raise MalformedCode("measurement inside a conditioned block")
+            qubits, future = ins.qubits, ins.future
+            _check_readout(qubits, allocated, "measure", future, "future", futures)
+            ops.append((Measure, qubits, future, None, ins))
+        elif kind is Dump:
+            if depth:
+                raise MalformedCode("dump inside a conditioned block")
+            qubits, dump = ins.qubits, ins.dump
+            _check_readout(qubits, allocated, "dump", dump, "dump", dumps)
+            ops.append((Dump, qubits, dump, None, ins))
+        elif kind is Branch:
+            condition, body = ins.condition, ins.body
+            _check_type(condition, Condition, "branch condition")
+            _check_type(body, tuple, "branch body")
+            future, equals = condition.future, condition.equals
+            if not (_is_int(future) and _is_int(equals)):
+                raise MalformedCode(f"condition must hold integers, got {short_repr(condition)}")
+            if future not in futures:
+                raise MalformedCode(f"condition on future {short_repr(future)} with no prior measure")
+            if equals < 0:
+                raise MalformedCode("condition literal must be non-negative")
+            if depth == MAX_DEPTH:
+                raise MalformedCode(f"conditioned blocks nested too deeply (limit {MAX_DEPTH})")
+            at = len(ops)
+            ops.append(None)  # the branch's op, written once its body is checked
+            _check_block(body, depth + 1, allocated, futures, dumps, ops)
+            ops[at] = (Branch, future, equals, len(ops), ins)
+        else:
+            raise MalformedCode(f"unknown instruction {short_repr(ins)}")
+    return allocated
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_seed(seed) -> None:
+    """Raise TypeError unless ``seed`` is an integer and not a bool, for ``Process`` and ``execute``."""
+    if not _is_int(seed):
+        raise TypeError(f"seed must be an integer, got {short_repr(seed)}")
 
 
 def _check_type(value, kind: type, what: str) -> None:
@@ -497,8 +511,7 @@ class Process:
     """
 
     def __init__(self, seed: int = 0):
-        if not _is_int(seed):
-            raise TypeError(f"seed must be an integer, got {short_repr(seed)}")
+        check_seed(seed)
         self.id = next(_process_ids)
         self.seed = seed
         self.num_qubits = 0

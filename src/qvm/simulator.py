@@ -109,7 +109,7 @@ from .errors import (
     IndexOutOfRange,
     IndexOverlap,
 )
-from .ir import Branch, Dump, Gate, GateApp, Measure, QuantumCode
+from .ir import Branch, Dump, Gate, GateApp, Measure, QuantumCode, check_seed
 from .rng import Xoshiro256StarStar
 
 # Amplitudes below this magnitude are treated as zero when snapshotting.
@@ -514,7 +514,8 @@ def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
     ``apply_kernel``, measurements through ``measure_kernel``, dumps through
     ``extract_dump``, and a conditioned block runs iff its future, already
     recorded earlier in the run, equals the literal.  A state whose norm
-    drifts from 1 by more than 1e-9 raises EngineFailure.
+    drifts from 1 by more than 1e-9 raises EngineFailure.  A ``seed`` that
+    is not an integer, or is a bool, raises TypeError, as ``Process`` does.
 
     Every call validates ``code`` and runs the ops ``validate`` returns as
     they are, each gate with the matrix its ``Gate`` carries.  No field of
@@ -523,6 +524,7 @@ def execute(code: QuantumCode, seed: int = 0) -> ExecutionResult:
     ``copy`` ignore them.  The kernels are looked up when called, so a
     module attribute set in their place is used.
     """
+    check_seed(seed)
     ops = code.validate()
     state, rng = StateVector.zero(0), Xoshiro256StarStar(seed)
     futures: dict[int, int] = {}

@@ -97,6 +97,13 @@ class TestProcessBasics:
         with pytest.raises(TypeError, match="^seed must be an integer, got "):
             new_process(seed=seed)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, "3", None], ids=["True", "float", "str", "None"])
+    def test_execute_takes_the_seeds_a_process_takes(self, seed):
+        p = new_process()
+        p.measure(p.alloc(1))
+        with pytest.raises(TypeError, match="^seed must be an integer, got "):
+            qvm.execute(p.code, seed)
+
     @pytest.mark.parametrize("seed", [-1, -(1 << 70), 1 << 64, (1 << 64) + 7, 10**30])
     def test_negative_and_wide_seeds_run_as_their_low_64_bits(self, seed):
         futures = []

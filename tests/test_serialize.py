@@ -322,9 +322,11 @@ def test_every_walker_accepts_max_depth(frames):
     ],
     ids=["validate", "execute", "serialize", "deserialize"],
 )
-def test_every_walker_rejects_one_level_more(walk):
+@pytest.mark.parametrize("depth", [qvm.ir.MAX_DEPTH + 1, 50_000])
+def test_every_walker_rejects_one_level_more(walk, depth):
+    # far past the limit too: each walker checks the depth before it descends
     with pytest.raises(MalformedCode, match="nested too deeply"):
-        walk(qvm.ir.MAX_DEPTH + 1)
+        walk(depth)
 
 
 json_values = st.recursive(

@@ -1,9 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "qvm"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "qvm"
 
 
 def test_no_assert_statements():
@@ -136,3 +141,29 @@ def test_the_validate_check_sees_each_form():
         "validate()\n"
     )
     assert sorted(_validate_uses(ast.parse(source))) == [3, 4, 6, 7, 8]
+
+
+FAILING_PROPERTY_THEN_PASSING = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    if x >= 0:
+        raise ValueError(x)
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_does_not_end_the_run(tmp_path):
+    # hypothesis imports libcst to write a failing example's patch, and libcst
+    # warns of a deprecation on import; the config must let the run go on
+    pytest.importorskip("libcst")
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY_THEN_PASSING, encoding="utf-8")
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml")]
+    run = subprocess.run([*command, "test_property.py"], cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout, run.stdout + run.stderr
